@@ -5,9 +5,14 @@
     (process, implementation) pair, one-of-each selection rows, and a single
     budget row — a few hundred variables at most.
 
-    Branching is depth-first on the most fractional integer variable, with
-    bound pruning against the incumbent. Bound rows ([x_i <= k], [x_i >= k])
-    are added as ordinary constraints on the subproblem. *)
+    Branching is depth-first on the most fractional integer variable, down
+    branch first, with bound pruning against the incumbent. The root LP is a
+    cold {!Simplex.start}; every other node re-optimizes one working tableau
+    by {!Simplex.reoptimize} after tightening its branching bound
+    ([x_i <= k] or [x_i >= k]) as a column bound, and the up branch first
+    {!Simplex.restore}s its parent's basis. Each solve adds its totals to the
+    [ilp.nodes], [ilp.pivots.root], [ilp.pivots.warm] and [ilp.refactors]
+    {!Ermes_obs.Obs} counters. *)
 
 type result =
   | Optimal of { x : float array; objective : float }
@@ -27,5 +32,6 @@ val int_solution : float array -> int array
     integer — only meaningful for pure ILPs. *)
 
 val node_count : unit -> int
-(** Number of branch-and-bound nodes explored by the most recent {!solve}
-    call (for the scalability/ablation benches). *)
+(** Number of branch-and-bound nodes explored by the calling domain's most
+    recent {!solve} call, [0] before its first (for the scalability/ablation
+    benches). *)

@@ -1,9 +1,9 @@
 (** Linear-program representation.
 
-    Variables are indexed [0 .. nvars-1] and implicitly non-negative;
-    additional bounds are expressed as ordinary constraint rows (the problems
-    ERMES builds are tiny, so there is no need for a bounded-variable
-    simplex). *)
+    Variables are indexed [0 .. nvars-1] and implicitly non-negative; any
+    other bound a caller wants is an ordinary constraint row. (Branch and
+    bound's own branching bounds never become rows: {!Simplex} keeps them as
+    per-column bounds of its working tableau.) *)
 
 type op = Le | Ge | Eq
 

@@ -221,6 +221,164 @@ let test_bb_node_count () =
   (match Branch_bound.solve lp with Branch_bound.Optimal _ -> () | _ -> Alcotest.fail "opt");
   Alcotest.(check bool) "explored nodes" true (Branch_bound.node_count () >= 1)
 
+let test_bb_unbounded () =
+  (* max x0 + x1 st x0 - x1 <= 0.5: the relaxation is unbounded, and so is
+     the ILP. *)
+  let lp = Lp.make Lp.Maximize [| 1.; 1. |] [ Lp.row [ (0, 1.); (1, -1.) ] Lp.Le 0.5 ] in
+  match Branch_bound.solve lp with
+  | Branch_bound.Unbounded -> ()
+  | _ -> Alcotest.fail "expected unbounded"
+
+(* Random small ILPs over general integers: every variable boxed in 0..3 by a
+   row, plus mixed Le/Ge/Eq rows with signed coefficients and rhs, under
+   either sense. Branching then moves bounds off 0/1, leaves variables
+   nonbasic at their upper bounds and yields empty children. *)
+let general_ilp_gen =
+  QCheck2.Gen.(
+    let* nvars = int_range 1 4 in
+    let* maximize = bool in
+    let* costs = list_repeat nvars (int_range (-5) 5) in
+    let* nrows = int_range 1 4 in
+    let* rows =
+      list_repeat nrows
+        (triple
+           (list_repeat nvars (int_range (-3) 3))
+           (frequency [ (3, return Lp.Le); (3, return Lp.Ge); (1, return Lp.Eq) ])
+           (int_range (-4) 8))
+    in
+    return (maximize, costs, rows))
+
+let general_ilp (maximize, costs, rows) =
+  let nvars = List.length costs in
+  let rows =
+    List.map
+      (fun (coeffs, op, rhs) ->
+        Lp.row (List.mapi (fun i c -> (i, float_of_int c)) coeffs) op (float_of_int rhs))
+      rows
+    @ List.init nvars (fun i -> Lp.row [ (i, 1.) ] Lp.Le 3.)
+  in
+  Lp.make
+    (if maximize then Lp.Maximize else Lp.Minimize)
+    (Array.of_list (List.map float_of_int costs))
+    rows
+
+(* The best objective over every integer point of the 0..3 box, exactly. *)
+let brute_force_ilp (maximize, costs, rows) =
+  let nvars = List.length costs in
+  let satisfied x (coeffs, op, rhs) =
+    let lhs = List.fold_left ( + ) 0 (List.mapi (fun i c -> c * x.(i)) coeffs) in
+    match op with Lp.Le -> lhs <= rhs | Lp.Ge -> lhs >= rhs | Lp.Eq -> lhs = rhs
+  in
+  let best = ref None in
+  let x = Array.make nvars 0 in
+  let rec go i =
+    if i = nvars then begin
+      if List.for_all (satisfied x) rows then begin
+        let v = List.fold_left ( + ) 0 (List.mapi (fun i c -> c * x.(i)) costs) in
+        match !best with
+        | Some b when (if maximize then b >= v else b <= v) -> ()
+        | _ -> best := Some v
+      end
+    end
+    else
+      for v = 0 to 3 do
+        x.(i) <- v;
+        go (i + 1)
+      done
+  in
+  go 0;
+  !best
+
+let prop_bb_vs_brute =
+  Helpers.qtest ~count:500 "branch-and-bound equals brute force on general ILPs"
+    general_ilp_gen (fun spec ->
+      let lp = general_ilp spec in
+      match (Branch_bound.solve lp, brute_force_ilp spec) with
+      | Branch_bound.Optimal { x; objective }, Some best ->
+        Float.abs (objective -. float_of_int best) < 1e-6
+        && Lp.feasible lp x
+        && Array.for_all (fun v -> Float.abs (v -. Float.round v) <= 1e-6) x
+      | Branch_bound.Infeasible, None -> true
+      | _ -> false)
+
+(* Property: tightening bounds on a solved LP and re-optimizing by dual
+   simplex reaches the cold optimum of the LP with those bounds as rows, and
+   restoring a snapshot brings back the vertex it was taken at. *)
+let prop_warm_vs_cold =
+  Helpers.qtest ~count:300 "warm re-optimization equals a cold solve with bound rows"
+    QCheck2.Gen.(
+      pair general_ilp_gen
+        (list_size (int_range 1 5) (triple (int_range 0 3) bool (int_range 0 3))))
+    (fun (spec, cuts) ->
+      let lp = general_ilp spec in
+      match Simplex.start lp with
+      | `Infeasible | `Unbounded -> true
+      | `Optimal w ->
+        let root = Simplex.primal w in
+        let saved = Simplex.save w in
+        let rec apply extra = function
+          | [] -> true
+          | (i, upper, k) :: rest ->
+            let i = i mod lp.Lp.nvars and k = float_of_int k in
+            let extra =
+              Lp.row [ (i, 1.) ] (if upper then Lp.Le else Lp.Ge) k :: extra
+            in
+            if upper then Simplex.tighten w i ~lo:0. ~hi:k
+            else Simplex.tighten w i ~lo:k ~hi:infinity;
+            let cold = Simplex.solve { lp with Lp.rows = extra @ lp.Lp.rows } in
+            (match (Simplex.reoptimize w, cold) with
+             | true, Simplex.Optimal { objective; _ } ->
+               let x = Simplex.primal w in
+               Float.abs (Lp.objective_value lp x -. objective) < 1e-6
+               && Lp.feasible { lp with Lp.rows = extra @ lp.Lp.rows } x
+               && apply extra rest
+             | false, Simplex.Infeasible -> true
+             | _ -> false)
+        in
+        apply [] cuts
+        &&
+        (Simplex.restore w saved;
+         Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) root (Simplex.primal w)))
+
+(* [node_count] is per domain: a domain reads back its own last solve, never
+   another domain's, whether the other solve ran before, after or at the
+   same time. *)
+let test_bb_node_count_domains () =
+  let small =
+    Lp.make Lp.Maximize [| 1.; 1. |]
+      [ Lp.row [ (0, 1.); (1, 2.) ] Lp.Le 4.; Lp.row [ (0, 3.); (1, 1.) ] Lp.Le 6. ]
+  in
+  let large =
+    Lp.make Lp.Maximize [| 5.; 4.; 3.; 7.; 6. |]
+      [ Lp.row [ (0, 2.); (1, 3.); (2, 1.); (3, 4.); (4, 5.) ] Lp.Le 10.5 ]
+  in
+  let nodes lp =
+    ignore (Branch_bound.solve lp);
+    Branch_bound.node_count ()
+  in
+  let n_small = nodes small in
+  let fresh, n_large =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let fresh = Branch_bound.node_count () in
+           (fresh, nodes large)))
+  in
+  Alcotest.(check bool) "the two ILPs differ in nodes" true (n_small <> n_large);
+  Alcotest.(check int) "a fresh domain has solved nothing" 0 fresh;
+  Alcotest.(check int) "another domain's solve leaves ours" n_small (Branch_bound.node_count ());
+  let worker lp expected () =
+    let bad = ref 0 in
+    for _ = 1 to 300 do
+      if nodes lp <> expected then incr bad
+    done;
+    !bad
+  in
+  let d = Domain.spawn (worker large n_large) in
+  let bad_small = worker small n_small () in
+  let bad_large = Domain.join d in
+  Alcotest.(check int) "concurrent: main domain reads its own count" 0 bad_small;
+  Alcotest.(check int) "concurrent: spawned domain reads its own count" 0 bad_large
+
 let test_simplex_redundant_equalities () =
   (* Two identical equality rows: phase 1 leaves a basic artificial in a
      redundant row; phase 2 must still solve. *)
@@ -343,6 +501,8 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_bb_infeasible;
           Alcotest.test_case "mixed integer" `Quick test_bb_mixed;
           Alcotest.test_case "node count" `Quick test_bb_node_count;
+          Alcotest.test_case "unbounded" `Quick test_bb_unbounded;
+          Alcotest.test_case "node count per domain" `Quick test_bb_node_count_domains;
         ] );
       ( "knapsack",
         [
@@ -351,5 +511,12 @@ let () =
           Alcotest.test_case "multiple choice" `Quick test_mckp;
           Alcotest.test_case "negative values" `Quick test_mckp_negative_values;
         ] );
-      ("property", [ prop_simplex_sound; prop_bb_vs_dp; prop_mckp_vs_brute ]);
+      ( "property",
+        [
+          prop_simplex_sound;
+          prop_bb_vs_dp;
+          prop_mckp_vs_brute;
+          prop_bb_vs_brute;
+          prop_warm_vs_cold;
+        ] );
     ]
