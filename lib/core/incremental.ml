@@ -177,12 +177,14 @@ let analyze_certified sess =
   Obs.incr "incremental.analyses";
   Obs.incr "incremental.certified";
   let raw = Csr.solve sess.solver in
-  let tmg = sess.mapping.To_tmg.tmg in
-  let certificate = Ermes_verify.Verify.of_howard tmg raw in
+  (* A fresh freeze, not the solver's own arrays, keeps the check
+     independent of the solver's cached state. *)
+  let g = Csr.of_tmg sess.mapping.To_tmg.tmg in
+  let certificate = Ermes_verify.Verify.of_howard_csr g raw in
   {
     outcome = Perf.of_howard sess.mapping raw;
     certificate;
-    checked = Ermes_verify.Verify.check tmg certificate;
+    checked = Ermes_verify.Verify.check_csr g certificate;
   }
 
 let analyze_exn sess =

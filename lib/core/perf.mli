@@ -40,7 +40,7 @@ val analyze : System.t -> (analysis, failure) result
 
 val of_howard :
   Ermes_slm.To_tmg.mapping ->
-  (Ermes_tmg.Howard.result, Ermes_tmg.Howard.error) result ->
+  (Ermes_tmg.Csr.result, Ermes_tmg.Csr.error) result ->
   (analysis, failure) result
 (** Translate a raw Howard outcome into system-level terms using the mapping
     the TMG was built with. [analyze] is [of_howard m (cycle_time m.tmg)];

@@ -4,7 +4,7 @@ module To_tmg = Ermes_slm.To_tmg
 module Tmg = Ermes_tmg.Tmg
 module Ratio = Ermes_tmg.Ratio
 module Liveness = Ermes_tmg.Liveness
-module Howard = Ermes_tmg.Howard
+module Csr = Ermes_tmg.Csr
 module Karp = Ermes_tmg.Karp
 module Lawler = Ermes_tmg.Lawler
 module Token_game = Ermes_tmg.Token_game
@@ -34,16 +34,16 @@ let check_karp add tmg =
   | Ok () -> ()
   | Error v ->
     add "verify: karp certificate rejected [%s]: %s" v.Verify.obligation v.Verify.detail);
-  (match (Howard.cycle_time tmg, Karp.of_unit_tmg tmg) with
+  (match (Csr.cycle_time tmg, Karp.of_unit_tmg tmg) with
   | Ok h, Some k ->
-    if not (Ratio.equal h.Howard.cycle_time k) then
+    if not (Ratio.equal h.Csr.cycle_time k) then
       add "karp: unit-token cycle mean %s, howard says %s" (rs k)
-        (rs h.Howard.cycle_time)
-  | Error Howard.No_cycle, None -> ()
-  | Error (Howard.Deadlock _), _ -> add "howard: deadlock on a unit-token net"
+        (rs h.Csr.cycle_time)
+  | Error Csr.No_cycle, None -> ()
+  | Error (Csr.Deadlock _), _ -> add "howard: deadlock on a unit-token net"
   | Ok h, None ->
-    add "karp: no cycle where howard found cycle time %s" (rs h.Howard.cycle_time)
-  | Error Howard.No_cycle, Some k ->
+    add "karp: no cycle where howard found cycle time %s" (rs h.Csr.cycle_time)
+  | Error Csr.No_cycle, Some k ->
     add "karp: cycle mean %s where howard found no cycle" (rs k));
   List.iter (fun (p, t) -> Tmg.set_tokens tmg p t) saved
 
@@ -212,25 +212,27 @@ let run_case ?(rounds = 96) ?(rtl = true) sys scenario =
     Fault.remove_tokens m scenario;
     let tmg = m.To_tmg.tmg in
     let dead_per_liveness = Liveness.find_dead_cycle tmg <> None in
-    let howard_raw = Howard.cycle_time tmg in
+    let howard_raw = Csr.cycle_time tmg in
     let verdict =
       match howard_raw with
-      | Ok h -> Some (Live h.Howard.cycle_time)
-      | Error (Howard.Deadlock _) -> Some Dead
-      | Error Howard.No_cycle ->
+      | Ok h -> Some (Live h.Csr.cycle_time)
+      | Error (Csr.Deadlock _) -> Some Dead
+      | Error Csr.No_cycle ->
         add "howard: no cycle in the TMG of a valid system";
         None
     in
     (* The certificate checker is its own oracle: every verdict above must
-       come with a proof object the independent O(E) checker accepts. *)
+       come with a proof object the independent O(E) checker accepts. One
+       fresh freeze serves all three checks. *)
+    let g = Csr.of_tmg tmg in
     let check_certificate name cert =
-      match Verify.check tmg cert with
+      match Verify.check_csr g cert with
       | Ok () -> ()
       | Error v ->
         add "verify: %s certificate rejected [%s]: %s" name v.Verify.obligation
           v.Verify.detail
     in
-    check_certificate "howard" (Verify.of_howard tmg howard_raw);
+    check_certificate "howard" (Verify.of_howard_csr g howard_raw);
     check_certificate "lawler" (Verify.of_lawler tmg (Lawler.certified tmg));
     check_certificate "liveness" (Verify.of_liveness tmg);
     (match (verdict, dead_per_liveness) with

@@ -2,8 +2,8 @@ module System = Ermes_slm.System
 module Soc_format = Ermes_slm.Soc_format
 module Sim = Ermes_slm.Sim
 module To_tmg = Ermes_slm.To_tmg
-module Howard = Ermes_tmg.Howard
 module Ratio = Ermes_tmg.Ratio
+module Csr = Ermes_tmg.Csr
 module Perf = Ermes_core.Perf
 module Explore = Ermes_core.Explore
 module Incremental = Ermes_core.Incremental
@@ -159,11 +159,12 @@ let analyze_cold deps ~cancel ~id sys =
     let mapping = To_tmg.build sys in
     let tmg = mapping.To_tmg.tmg in
     Cancel.check cancel;
-    let howard = Howard.cycle_time tmg in
+    let howard = Csr.cycle_time tmg in
     Cancel.check cancel;
     let outcome = Perf.of_howard mapping howard in
-    let cert = Verify.of_howard tmg howard in
-    let checked = Verify.check tmg cert in
+    let g = Csr.of_tmg tmg in
+    let cert = Verify.of_howard_csr g howard in
+    let checked = Verify.check_csr g cert in
     let status, fields = verdict_fields sys outcome in
     let status = if Result.is_error checked then "findings" else status in
     let fields = fields @ certificate_fields cert checked in

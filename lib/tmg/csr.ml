@@ -26,8 +26,7 @@ module Log = (val Logs.src_log log_src)
 
 (* Rebuild both adjacency directions by counting sort over place ids, so each
    row lists its places in ascending id order — the same per-vertex order a
-   freshly built Digraph has, and the order the pointer solvers rebuild after
-   rewires ([Howard.refresh] reconstructs out-arc lists from arc-id order). *)
+   freshly built Digraph has, whatever the net's rewiring history. *)
 let rebuild_adjacency (g : t) =
   let n = g.n and m = g.m in
   Array.fill g.out_row 0 (n + 1) 0;
@@ -314,6 +313,17 @@ let topo_ranks g = topo_over g ~select:(fun _ -> true)
 (* Howard policy iteration on the flat arrays                          *)
 (* ------------------------------------------------------------------ *)
 
+type result = {
+  cycle_time : Ratio.t;
+  critical_places : Tmg.place list;
+  critical_transitions : Tmg.transition list;
+  potentials : int array;
+  howard_iterations : int;
+  cancel_iterations : int;
+}
+
+type error = Deadlock of Liveness.dead_cycle | No_cycle
+
 let eps = 1e-9
 let max_iterations = 200
 
@@ -462,7 +472,7 @@ let compute_scc_state s =
   s.comp_count <- comp_count;
   s.scc_dirty <- false
 
-(* Re-sync the frozen arrays with the live net, mirroring Howard.refresh:
+(* Re-sync the frozen arrays with the live net:
    delay edits are absorbed by the unconditional weight re-read, endpoint
    rewires rebuild the adjacency (from place-id order, so results never
    depend on rewiring history) and dirty the SCC state, token edits
@@ -518,9 +528,10 @@ let refresh s =
 
 (* Evaluate the current policy over the members comp_members.(lo..hi-1):
    find its cycles (recorded in discovery order in the cyc_* buffers), each
-   cycle's exact delay/token sums, and the potentials. Mirrors
-   Howard.evaluate: same walk order, same backward cycle sweep, same
-   propagation equation — identical float results. *)
+   cycle's exact delay/token sums, and the potentials. The walk order, the
+   backward cycle sweep and the propagation equation are fixed: they decide
+   the float rounding, and with it the witness and iteration counts the
+   golden pin in test_csr records. *)
 (* The policy-evaluation and improvement sweeps below use unchecked array
    accesses: every index is a vertex or place id produced by
    [rebuild_adjacency]/[compute_scc_state] over arrays sized n/m, so the
@@ -588,7 +599,7 @@ let evaluate s lo hi =
   (* Potentials: fix each cycle's first vertex at 0, walk the cycle
      backwards, then propagate x(u) = w - lambda*t + x(succ u) over the
      reverse policy adjacency. Cycles are processed in reverse discovery
-     order, exactly like the pointer code's consed list. The cycle ratio is
+     order. The cycle ratio is
      a direct float division: both operands are exact in 64-bit floats, so
      the correctly-rounded quotient equals [Ratio.to_float (Ratio.make w t)]
      bit for bit. *)
@@ -647,8 +658,9 @@ let evaluate s lo hi =
     done
   done
 
-(* One improvement sweep, mirroring Howard.improve (ascending members,
-   ascending out-places, same eps tests). *)
+(* One improvement sweep: ascending members, ascending out-places; a
+   strictly better chain value wins outright, an equal one (within eps) wins
+   on a strictly better potential. *)
 let improve s lo hi =
   let g = s.g and sc = s.scratch and in_scc = s.in_scc in
   let members = s.comp_members in
@@ -706,7 +718,7 @@ let howard_scc s lo hi =
   let best_r = ref None and best_len = ref 0 in
   let note_cycles () =
     (* Reverse discovery order with a strict comparison: among equals the
-       last-discovered cycle wins, matching the pointer code's consed list. *)
+       last-discovered cycle wins. *)
     for k = sc.cyc_count - 1 downto 0 do
       let r = Ratio.make sc.cyc_w.(k) sc.cyc_t.(k) in
       let take =
@@ -736,9 +748,11 @@ let howard_scc s lo hi =
   | Some r -> (r, !best_len, !rounds)
   | None -> assert false
 
-(* Positive-reduced-cost cycle search, mirroring Howard.find_positive_cycle
-   (same seeding scan, FIFO order, relaxation order, spurious-trigger resume).
-   [d] is relaxed in place; [mask] selects the places worth relaxing. *)
+(* Positive-reduced-cost cycle search: SPFA seeded with every vertex that
+   has a violated out-place (ascending), FIFO order, out-places relaxed in
+   ascending id order; a path-length trigger that finds no cycle resets and
+   resumes. [d] is relaxed in place; [mask] selects the places worth
+   relaxing. *)
 let find_positive_cycle s mask d ratio =
   let g = s.g and sc = s.scratch in
   let n = g.n in
@@ -833,7 +847,7 @@ let find_positive_cycle s mask d ratio =
     let u = qpop () in
     Array.unsafe_set in_queue u false;
     (* [d.(u)] and [plen.(u)] are re-read per arc: a self-loop place can
-       relax them mid-scan, and the pointer code sees that update. *)
+       relax them mid-scan, and later arcs of the row must see that update. *)
     for j = Array.unsafe_get fo_row u to Array.unsafe_get fo_row (u + 1) - 1 do
       let a = Array.unsafe_get fo_adj j in
       let v = Array.unsafe_get dst a in
@@ -902,14 +916,14 @@ let solve s =
   | Some dead ->
     Log.debug (fun m ->
         m "solve: dead cycle of %d places" (List.length dead.Liveness.dead_places));
-    Error (Howard.Deadlock dead)
+    Error (Deadlock dead)
   | None ->
     if s.scc_dirty then begin
       compute_scc_state s;
       Obs.incr "csr.scc.recomputed"
     end
     else Obs.incr "csr.cache.scc_hit";
-    if not (Array.exists Fun.id s.comp_cyclic) then Error Howard.No_cycle
+    if not (Array.exists Fun.id s.comp_cyclic) then Error No_cycle
     else begin
       let g = s.g and sc = s.scratch in
       let best = ref None and iters = ref 0 and win_len = ref 0 in
@@ -933,8 +947,8 @@ let solve s =
       | Some ratio ->
         (* Seed the exact certification with a concrete arc list: between
            consecutive cycle vertices pick the parallel place of maximal
-           reduced weight, scanning ascending and keeping the first maximum
-           — the same choice Howard.solve's fold makes. *)
+           reduced weight, scanning ascending and keeping the first
+           maximum. *)
         let k = !win_len in
         let num = Ratio.num ratio and den = Ratio.den ratio in
         let seed_arcs =
@@ -972,7 +986,7 @@ let solve s =
               Ratio.pp final_ratio !iters cancels);
         Ok
           {
-            Howard.cycle_time = final_ratio;
+            cycle_time = final_ratio;
             critical_places = final_arcs;
             critical_transitions = List.map (fun a -> g.dst.(a)) final_arcs;
             potentials = Array.copy s.potentials;
@@ -982,236 +996,3 @@ let solve s =
     end
 
 let cycle_time tmg = solve (make_solver tmg)
-
-(* ------------------------------------------------------------------ *)
-(* Karp on the flat arrays                                             *)
-(* ------------------------------------------------------------------ *)
-
-let karp_unit (g : t) =
-  for p = 0 to g.m - 1 do
-    if g.tokens.(p) <> 1 then
-      invalid_arg "Csr.karp_unit: every place must hold exactly one token"
-  done;
-  let { comp; comp_count } = strongly_connected g in
-  let comp_row = Array.make (comp_count + 1) 0 in
-  for v = 0 to g.n - 1 do
-    comp_row.(comp.(v) + 1) <- comp_row.(comp.(v) + 1) + 1
-  done;
-  for c = 1 to comp_count do
-    comp_row.(c) <- comp_row.(c) + comp_row.(c - 1)
-  done;
-  let members = Array.make (max g.n 1) 0 in
-  let cur = Array.make (max comp_count 1) 0 in
-  for c = 0 to comp_count - 1 do
-    cur.(c) <- comp_row.(c)
-  done;
-  for v = 0 to g.n - 1 do
-    members.(cur.(comp.(v))) <- v;
-    cur.(comp.(v)) <- cur.(comp.(v)) + 1
-  done;
-  let idx = Array.make (max g.n 1) 0 in
-  let best = ref None in
-  for c = 0 to comp_count - 1 do
-    let lo = comp_row.(c) and hi = comp_row.(c + 1) in
-    let nc = hi - lo in
-    (* Internal places of the component. *)
-    let internal = ref 0 in
-    for i = lo to hi - 1 do
-      let u = members.(i) in
-      for j = g.out_row.(u) to g.out_row.(u + 1) - 1 do
-        if comp.(g.dst.(g.out_adj.(j))) = c then incr internal
-      done
-    done;
-    if !internal > 0 then begin
-      for i = lo to hi - 1 do
-        idx.(members.(i)) <- i - lo
-      done;
-      (* d.(k).(v) = max weight of a k-arc walk ending at v; walks start
-         anywhere (virtual 0-weight root). *)
-      let neg = min_int / 4 in
-      let d = Array.make_matrix (nc + 1) nc neg in
-      Array.fill d.(0) 0 nc 0;
-      for k = 1 to nc do
-        let dk = d.(k) and dk1 = d.(k - 1) in
-        for i = lo to hi - 1 do
-          let u = members.(i) in
-          let ui = i - lo in
-          if dk1.(ui) > neg then
-            for j = g.out_row.(u) to g.out_row.(u + 1) - 1 do
-              let a = g.out_adj.(j) in
-              let v = g.dst.(a) in
-              if comp.(v) = c then begin
-                let vi = idx.(v) in
-                if dk1.(ui) + g.weight.(a) > dk.(vi) then
-                  dk.(vi) <- dk1.(ui) + g.weight.(a)
-              end
-            done
-        done
-      done;
-      (* lambda* = max_v min_k (d_n(v) - d_k(v)) / (n - k). *)
-      for v = 0 to nc - 1 do
-        if d.(nc).(v) > neg then begin
-          let vmin = ref None in
-          for k = 0 to nc - 1 do
-            if d.(k).(v) > neg then begin
-              let r = Ratio.make (d.(nc).(v) - d.(k).(v)) (nc - k) in
-              match !vmin with
-              | None -> vmin := Some r
-              | Some r0 -> if Ratio.(r < r0) then vmin := Some r
-            end
-          done;
-          match (!vmin, !best) with
-          | Some r, None -> best := Some r
-          | Some r, Some b -> if Ratio.(r > b) then best := Some r
-          | None, _ -> ()
-        end
-      done
-    end
-  done;
-  !best
-
-(* ------------------------------------------------------------------ *)
-(* Lawler on the flat arrays                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Bellman-Ford longest-path probe at float reduced cost w - lambda*t,
-   mirroring Lawler.positive_cycle_float (same relaxation order, same slack,
-   same extraction), so the whole binary search tracks the pointer
-   implementation float for float. *)
-let positive_cycle_float (g : t) lambda =
-  let n = g.n in
-  let cost a = float_of_int g.weight.(a) -. (lambda *. float_of_int g.tokens.(a)) in
-  let d = Array.make (max n 1) 0. in
-  let parent = Array.make (max n 1) (-1) in
-  let changed = ref true in
-  let last_updated = ref (-1) in
-  let rounds = ref 0 in
-  while !changed && !rounds <= n do
-    changed := false;
-    incr rounds;
-    for u = 0 to n - 1 do
-      for j = g.out_row.(u) to g.out_row.(u + 1) - 1 do
-        let a = g.out_adj.(j) in
-        let v = g.dst.(a) in
-        let nd = d.(u) +. cost a in
-        if nd > d.(v) +. 1e-12 then begin
-          d.(v) <- nd;
-          parent.(v) <- a;
-          changed := true;
-          last_updated := v
-        end
-      done
-    done
-  done;
-  if not !changed then None
-  else begin
-    let u = ref !last_updated in
-    for _ = 1 to n do
-      if parent.(!u) >= 0 then u := g.src.(parent.(!u))
-    done;
-    let seen = Array.make (max n 1) false in
-    let rec chase v =
-      if seen.(v) || parent.(v) < 0 then v
-      else begin
-        seen.(v) <- true;
-        chase g.src.(parent.(v))
-      end
-    in
-    let entry = chase !u in
-    if parent.(entry) < 0 then None
-    else begin
-      let rec collect v acc =
-        let a = parent.(v) in
-        let s = g.src.(a) in
-        if s = entry then Some (a :: acc) else collect s (a :: acc)
-      in
-      collect entry []
-    end
-  end
-
-let exact_ratio_opt (g : t) arcs =
-  let wsum = List.fold_left (fun acc a -> acc + g.weight.(a)) 0 arcs in
-  let tsum = List.fold_left (fun acc a -> acc + g.tokens.(a)) 0 arcs in
-  if tsum = 0 then None else Some (Ratio.make wsum tsum)
-
-let potentials_at (g : t) ratio =
-  let n = g.n in
-  let p = Ratio.num ratio and q = Ratio.den ratio in
-  let cost a = (q * g.weight.(a)) - (p * g.tokens.(a)) in
-  let d = Array.make (max n 1) 0 in
-  let in_queue = Array.make (max n 1) true in
-  let ring = Array.make (n + 1) 0 in
-  let qh = ref 0 and qt = ref 0 in
-  let qpush v =
-    ring.(!qt) <- v;
-    qt := (!qt + 1) mod (n + 1)
-  in
-  let qpop () =
-    let v = ring.(!qh) in
-    qh := (!qh + 1) mod (n + 1);
-    v
-  in
-  for u = 0 to n - 1 do
-    qpush u
-  done;
-  while !qh <> !qt do
-    let u = qpop () in
-    in_queue.(u) <- false;
-    for j = g.out_row.(u) to g.out_row.(u + 1) - 1 do
-      let a = g.out_adj.(j) in
-      let v = g.dst.(a) in
-      let nd = d.(u) + cost a in
-      if nd > d.(v) then begin
-        d.(v) <- nd;
-        if not in_queue.(v) then begin
-          in_queue.(v) <- true;
-          qpush v
-        end
-      end
-    done
-  done;
-  if n = 0 then [||] else d
-
-let lawler_certified (g : t) =
-  match live_ranks g with
-  | Error _ -> Error Lawler.Deadlock
-  | Ok _ -> (
-    match positive_cycle_float g (-1.) with
-    | None -> Error Lawler.No_cycle
-    | Some seed ->
-      let best = ref (Option.get (exact_ratio_opt g seed), seed) in
-      let hi =
-        ref
-          (1.
-          +. (let acc = ref 0. in
-              for p = 0 to g.m - 1 do
-                acc := !acc +. float_of_int g.weight.(p)
-              done;
-              !acc))
-      in
-      let lo = ref (Ratio.to_float (fst !best)) in
-      for _ = 1 to 60 do
-        let mid = 0.5 *. (!lo +. !hi) in
-        match positive_cycle_float g mid with
-        | Some arcs -> (
-          match exact_ratio_opt g arcs with
-          | Some r ->
-            if Ratio.(r > fst !best) then best := (r, arcs);
-            lo := Float.max mid (Ratio.to_float r)
-          | None -> lo := mid)
-        | None -> hi := mid
-      done;
-      let rec certify_exact () =
-        let r, _ = !best in
-        match positive_cycle_float g (Ratio.to_float r +. 1e-12) with
-        | None -> ()
-        | Some arcs -> (
-          match exact_ratio_opt g arcs with
-          | Some r' when Ratio.(r' > r) ->
-            best := (r', arcs);
-            certify_exact ()
-          | Some _ | None -> ())
-      in
-      certify_exact ();
-      let ratio, arcs = !best in
-      Ok (ratio, arcs, potentials_at g ratio))

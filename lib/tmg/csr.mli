@@ -5,9 +5,10 @@
     and allocates. This module freezes a net into unboxed [int array]s —
     transitions and places keep their dense ids ({!Tmg.transition} and
     {!Tmg.place} already {e are} dense ints, so the index mapping between the
-    two representations is the identity) — and re-implements the hot solvers
-    (Howard policy iteration, Karp, Lawler, liveness/topological ranks,
-    Tarjan SCC) as allocation-free loops over those arrays.
+    two representations is the identity) — and runs the analysis (Howard
+    policy iteration, liveness/topological ranks, Tarjan SCC) as
+    allocation-free loops over those arrays. Karp, Lawler and Liveness stay
+    on the pointer net as independent cross-checks.
 
     {2 Index-mapping contract}
 
@@ -19,15 +20,16 @@
     results: a witness cycle returned here is a plain [Tmg.place list] whose
     ids are valid in the source net.
 
-    {2 Equivalence contract}
+    {2 Determinism contract}
 
-    On a freshly built net (no rewiring history), {!solve} mirrors
-    {!Howard.solve} operation for operation — same traversal orders, same
-    float rounding, same tie-breaking — so verdict, exact ratio, witness
-    cycle, potentials and iteration counts are bit-identical. After arc
-    rewires the two representations may visit components in different orders
-    and can return different (equally valid and equally exact) witnesses;
-    the ratio and verdict always agree. *)
+    {!solve} is the one Howard solver: every cycle time this toolkit reports
+    comes from it. A cold solve ({!cycle_time}, or the first {!solve}) is a
+    pure function of the net: the verdict, exact ratio, witness cycle,
+    potentials and both iteration counters are the same on every run, and
+    a golden test pins them on the paper's designs, a synthetic SoC and
+    seeded random nets. A warm solve may report another, equally critical
+    witness and take fewer rounds; the ratio and the verdict never
+    differ. *)
 
 type t = {
   n : int;  (** transition count *)
@@ -83,38 +85,67 @@ val topo_ranks : t -> (int array, Liveness.dead_cycle) result
 
 (** {2 Howard solver}
 
-    A drop-in replacement for {!Howard.solver}: holds the source net, re-syncs
-    the frozen arrays against it on each {!solve} (delay edits absorbed for
-    free, token edits invalidate the cached liveness verdict, endpoint rewires
-    rebuild the adjacency and the SCC decomposition, count changes re-freeze),
-    and warm-starts policy and certification potentials across solves. All
-    per-solve scratch is preallocated: the policy-iteration, potential
-    propagation and positive-cycle-cancellation inner loops allocate nothing
-    but the final result. *)
+    Cycle-time analysis (paper §3). The cycle time of a TMG is its
+    {e maximum cycle ratio} over all directed cycles [C] of
+    [delay(C) / tokens(C)]; its reciprocal is the steady-state throughput,
+    and a cycle attaining it is a {e critical cycle}. Howard's policy
+    iteration (Cochet-Terrasson et al., 1998) runs per strongly connected
+    component in floating point; the candidate ratio [p/q] is then
+    {e certified exactly} by searching for a cycle of positive reduced cost
+    [q*delay - p*tokens]. Any such cycle has a strictly larger ratio and
+    replaces the candidate, so the returned value is the exact maximum
+    regardless of floating-point behaviour. *)
+
+type result = {
+  cycle_time : Ratio.t;  (** max over cycles of (sum of delays / sum of tokens) *)
+  critical_places : Tmg.place list;
+      (** one critical cycle, as its places in arc order *)
+  critical_transitions : Tmg.transition list;
+      (** the same cycle, as the consumer transition of each place *)
+  potentials : int array;
+      (** per-transition optimality witness at [cycle_time] = p/q: for
+          {e every} place from [u] to [v],
+          [potentials.(v) >= potentials.(u) + q*delay(v) - p*tokens], so no
+          directed cycle has ratio above p/q. Together with
+          [critical_places] (which attains p/q exactly) this is a complete,
+          independently checkable certificate — see [Ermes_verify.Verify]. *)
+  howard_iterations : int;  (** policy-improvement rounds (all components) *)
+  cancel_iterations : int;
+      (** exact-verification rounds that improved the candidate (0 when the
+          policy iteration already converged to the optimum) *)
+}
+
+type error =
+  | Deadlock of Liveness.dead_cycle
+      (** a token-free cycle exists: the cycle time is unbounded *)
+  | No_cycle  (** the graph is acyclic: no steady-state constraint *)
 
 type solver
+(** A reusable analysis context bound to one {!Tmg.t}. It holds the source
+    net and re-syncs the frozen arrays against it on each {!solve}: delay
+    edits ({!Tmg.set_delay}) are absorbed for free, token edits invalidate
+    the cached liveness verdict, endpoint rewires ({!Tmg.rewire_place})
+    rebuild the adjacency and the SCC decomposition, and count changes
+    re-freeze. Policy and certification potentials warm-start across
+    solves. All per-solve scratch is preallocated: the policy-iteration,
+    potential propagation and positive-cycle-cancellation inner loops
+    allocate nothing but the final result.
+
+    Warm-starting affects only the number of policy-improvement rounds and
+    possibly {e which} of several equally critical cycles is reported; the
+    returned cycle time is exact regardless. *)
 
 val make_solver : Tmg.t -> solver
 (** Freeze [tmg] and preallocate all solver scratch. Registers the
     [csr.*] observability counters. *)
 
-val solve : solver -> (Howard.result, Howard.error) result
+val solve : solver -> (result, error) Stdlib.result
 (** Exact maximum cycle ratio with certificate ingredients (witness places,
-    integer potentials), bit-identical to {!Howard.solve} on freshly built
-    nets. The result's [potentials] array is a fresh copy. *)
+    integer potentials), warm-started from the previous call. Later calls
+    return the same verdicts and the same exact cycle time a fresh analysis
+    would. Works on arbitrary (not necessarily strongly connected) nets by
+    taking the worst component. The result's [potentials] array is a fresh
+    copy. *)
 
-val cycle_time : Tmg.t -> (Howard.result, Howard.error) result
+val cycle_time : Tmg.t -> (result, error) Stdlib.result
 (** [solve (make_solver tmg)] — one-shot cold analysis. *)
-
-(** {2 CSR-backed cross-check solvers} *)
-
-val karp_unit : t -> Ratio.t option
-(** Karp's maximum cycle mean on a unit-token net (the same per-SCC dynamic
-    program as {!Karp.of_unit_tmg}, over flat arrays); [None] if acyclic.
-    @raise Invalid_argument if any place's marking differs from 1. *)
-
-val lawler_certified :
-  t -> (Ratio.t * Tmg.place list * int array, Lawler.error) result
-(** Lawler's binary search over flat arrays, mirroring {!Lawler.certified}:
-    exact ratio, witness cycle (as place ids of the source net) and integer
-    optimality potentials. *)

@@ -1,6 +1,5 @@
 module Tmg = Ermes_tmg.Tmg
 module Ratio = Ermes_tmg.Ratio
-module Howard = Ermes_tmg.Howard
 module Lawler = Ermes_tmg.Lawler
 module Liveness = Ermes_tmg.Liveness
 module Csr = Ermes_tmg.Csr
@@ -23,10 +22,13 @@ let pp_violation ppf v =
   Format.fprintf ppf "certificate rejected [%s]: %s" v.obligation v.detail
 
 (* ------------------------------------------------------------------ *)
-(* The independent checker. Everything below reads the net exclusively
-   through Tmg accessors and computes in exact machine integers — no solver
-   module is referenced. Magnitudes: delays <= ~1e6, tokens <= ~1e5 and
-   potentials are integer combinations of O(V) of them, far below 2^62. *)
+(* The independent checker. Everything below reads a frozen {!Csr.t} and
+   computes in exact machine integers — no solver code is referenced. The
+   freeze is part of the trusted base, so callers wanting full independence
+   pass a {e fresh} [Csr.of_tmg] rather than a solver's internal arrays.
+   [weight.(p)] is by construction [delay.(dst.(p))]. Magnitudes: delays
+   <= ~1e6, tokens <= ~1e5 and potentials are integer combinations of O(V)
+   of them, far below 2^62. *)
 (* ------------------------------------------------------------------ *)
 
 let fail obligation fmt =
@@ -34,134 +36,10 @@ let fail obligation fmt =
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-(* Place ids are dense 0..place_count-1 (arc ids of the underlying
-   multigraph); reject anything outside before using one as an index. *)
-let check_place_ids tmg obligation places =
-  let m = Tmg.place_count tmg in
-  let rec go = function
-    | [] -> Ok ()
-    | p :: rest ->
-      if (p : Tmg.place :> int) < 0 || (p : Tmg.place :> int) >= m then
-        fail obligation "place id %d outside the net (%d places)" (p :> int) m
-      else go rest
-  in
-  go places
-
-(* A witness must be a closed walk: each place's consumer is the next
-   place's producer, cyclically. *)
-let check_closed_walk tmg obligation places =
-  let* () = check_place_ids tmg obligation places in
-  match places with
-  | [] -> fail obligation "empty witness cycle"
-  | first :: _ ->
-    let rec go = function
-      | [] -> assert false
-      | [ last ] ->
-        if Tmg.place_dst tmg last = Tmg.place_src tmg first then Ok ()
-        else
-          fail obligation "witness does not close: %s ends at %s, %s starts at %s"
-            (Tmg.place_name tmg last)
-            (Tmg.transition_name tmg (Tmg.place_dst tmg last))
-            (Tmg.place_name tmg first)
-            (Tmg.transition_name tmg (Tmg.place_src tmg first))
-      | p :: (q :: _ as rest) ->
-        if Tmg.place_dst tmg p = Tmg.place_src tmg q then go rest
-        else
-          fail obligation "witness is not a walk: %s ends at %s but %s starts at %s"
-            (Tmg.place_name tmg p)
-            (Tmg.transition_name tmg (Tmg.place_dst tmg p))
-            (Tmg.place_name tmg q)
-            (Tmg.transition_name tmg (Tmg.place_src tmg q))
-    in
-    go places
-
-let check_array_size tmg obligation what a =
-  let n = Tmg.transition_count tmg in
-  if Array.length a = n then Ok ()
-  else fail obligation "%s has %d entries for %d transitions" what (Array.length a) n
-
-(* ranks.(src) < ranks.(dst) for every place selected by [relevant]. *)
-let check_ranks tmg obligation ~relevant ranks =
-  let* () = check_array_size tmg obligation "rank vector" ranks in
-  let rec go = function
-    | [] -> Ok ()
-    | p :: rest ->
-      if relevant p then begin
-        let u = Tmg.place_src tmg p and v = Tmg.place_dst tmg p in
-        if ranks.(u) < ranks.(v) then go rest
-        else
-          fail obligation "place %s violates the order: rank(%s)=%d >= rank(%s)=%d"
-            (Tmg.place_name tmg p) (Tmg.transition_name tmg u) ranks.(u)
-            (Tmg.transition_name tmg v) ranks.(v)
-      end
-      else go rest
-  in
-  go (Tmg.places tmg)
-
-let check_liveness_ranks tmg ranks =
-  check_ranks tmg "liveness-ranks" ~relevant:(fun p -> Tmg.tokens tmg p = 0) ranks
-
-let check tmg cert =
-  match cert with
-  | Deadlocked { cycle } ->
-    let* () = check_closed_walk tmg "dead-cycle" cycle in
-    let rec all_empty = function
-      | [] -> Ok ()
-      | p :: rest ->
-        if Tmg.tokens tmg p = 0 then all_empty rest
-        else
-          fail "dead-cycle" "place %s carries %d tokens; the witness is not token-free"
-            (Tmg.place_name tmg p) (Tmg.tokens tmg p)
-    in
-    all_empty cycle
-  | Acyclic { ranks } -> check_ranks tmg "acyclic-ranks" ~relevant:(fun _ -> true) ranks
-  | Live { ranks } -> check_liveness_ranks tmg ranks
-  | Bounded { ratio; witness; potentials; ranks } ->
-    let p = Ratio.num ratio and q = Ratio.den ratio in
-    (* 1. liveness: no token-free cycle. *)
-    let* () = check_liveness_ranks tmg ranks in
-    (* 2. the witness attains the ratio exactly (lower bound). *)
-    let* () = check_closed_walk tmg "witness-cycle" witness in
-    let wsum =
-      List.fold_left (fun acc pl -> acc + Tmg.delay tmg (Tmg.place_dst tmg pl)) 0 witness
-    in
-    let tsum = List.fold_left (fun acc pl -> acc + Tmg.tokens tmg pl) 0 witness in
-    let* () =
-      if tsum <= 0 then
-        fail "witness-ratio" "witness cycle carries no token (delay %d)" wsum
-      else Ok ()
-    in
-    let* () =
-      if q * wsum = p * tsum then Ok ()
-      else
-        fail "witness-ratio" "witness attains %d/%d, certificate claims %d/%d" wsum tsum
-          p q
-    in
-    (* 3. no cycle exceeds the ratio (upper bound): potential feasibility on
-       every place. *)
-    let* () = check_array_size tmg "potential-feasibility" "potential vector" potentials in
-    let rec feasible = function
-      | [] -> Ok ()
-      | pl :: rest ->
-        let u = Tmg.place_src tmg pl and v = Tmg.place_dst tmg pl in
-        let reduced = (q * Tmg.delay tmg v) - (p * Tmg.tokens tmg pl) in
-        if potentials.(u) + reduced <= potentials.(v) then feasible rest
-        else
-          fail "potential-feasibility"
-            "place %s violates feasibility: pot(%s)=%d + (%d*%d - %d*%d) > pot(%s)=%d"
-            (Tmg.place_name tmg pl) (Tmg.transition_name tmg u) potentials.(u) q
-            (Tmg.delay tmg v) p (Tmg.tokens tmg pl) (Tmg.transition_name tmg v)
-            potentials.(v)
-    in
-    feasible (Tmg.places tmg)
-
-(* The same obligations, read off a frozen {!Csr.t} instead of the pointer
-   net. The CSR freeze is itself part of the trusted base here, so callers
-   wanting full independence should pass a {e fresh} [Csr.of_tmg] rather
-   than a solver's internal arrays. [weight.(p)] is by construction
-   [delay.(dst.(p))], the same quantity the pointer checker reads. *)
 let check_csr (g : Csr.t) cert =
   let pid (p : Tmg.place) = (p :> int) in
+  (* Place ids are dense 0..m-1; reject anything outside before using one
+     as an index. *)
   let check_place_ids obligation places =
     let rec go = function
       | [] -> Ok ()
@@ -271,6 +149,8 @@ let check_csr (g : Csr.t) cert =
     in
     feasible 0
 
+let check tmg cert = check_csr (Csr.of_tmg tmg) cert
+
 let describe = function
   | Bounded { ratio; witness; potentials; _ } ->
     Printf.sprintf "bounded: max cycle ratio %s, witness of %d places, potentials over %d transitions"
@@ -304,34 +184,22 @@ let acyclic_ranks tmg =
     ranks
   | Error _ -> refuted_ranks tmg
 
-let of_howard tmg = function
-  | Ok (r : Howard.result) ->
-    Bounded
-      {
-        ratio = r.Howard.cycle_time;
-        witness = r.Howard.critical_places;
-        potentials = r.Howard.potentials;
-        ranks = live_ranks_or_refuted tmg;
-      }
-  | Error (Howard.Deadlock d) -> Deadlocked { cycle = d.Liveness.dead_places }
-  | Error Howard.No_cycle -> Acyclic { ranks = acyclic_ranks tmg }
-
 let csr_refuted_ranks (g : Csr.t) = Array.make g.Csr.n 0
 
 let of_howard_csr (g : Csr.t) = function
-  | Ok (r : Howard.result) ->
+  | Ok (r : Csr.result) ->
     let ranks =
       match Csr.live_ranks g with Ok r -> r | Error _ -> csr_refuted_ranks g
     in
     Bounded
       {
-        ratio = r.Howard.cycle_time;
-        witness = r.Howard.critical_places;
-        potentials = r.Howard.potentials;
+        ratio = r.Csr.cycle_time;
+        witness = r.Csr.critical_places;
+        potentials = r.Csr.potentials;
         ranks;
       }
-  | Error (Howard.Deadlock d) -> Deadlocked { cycle = d.Liveness.dead_places }
-  | Error Howard.No_cycle ->
+  | Error (Csr.Deadlock d) -> Deadlocked { cycle = d.Liveness.dead_places }
+  | Error Csr.No_cycle ->
     let ranks =
       match Csr.topo_ranks g with Ok r -> r | Error _ -> csr_refuted_ranks g
     in

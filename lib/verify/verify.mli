@@ -1,17 +1,18 @@
 (** Machine-checkable certificates for TMG analyses, and their independent
     checker.
 
-    The solvers ({!Ermes_tmg.Howard}, {!Ermes_tmg.Karp},
-    {!Ermes_tmg.Lawler}, {!Ermes_tmg.Liveness}) are the trusted-computing
-    base of every verdict this toolkit emits — and with warm-started,
-    cache-heavy solving (incremental sessions, policy reuse, potential
-    reuse) that base has real state to get wrong. Each analysis therefore
-    returns a small {e certificate} whose validity implies the verdict, and
-    this module checks it {e independently}: the checker reads only the raw
-    {!Ermes_tmg.Tmg.t} through its accessors and uses exact integer
-    arithmetic — no solver code, no floats, no caches. A bug anywhere in
-    the solver stack (or a stale cache) produces a certificate the checker
-    rejects; it cannot produce a wrong verdict that still checks out.
+    The solvers ({!Ermes_tmg.Csr}'s Howard, and the pointer cross-checks
+    {!Ermes_tmg.Karp}, {!Ermes_tmg.Lawler}, {!Ermes_tmg.Liveness}) are the
+    trusted-computing base of every verdict this toolkit emits — and with
+    warm-started, cache-heavy solving (incremental sessions, policy reuse,
+    potential reuse) that base has real state to get wrong. Each analysis
+    therefore returns a small {e certificate} whose validity implies the
+    verdict, and this module checks it {e independently}: the checker reads
+    only a plain {!Ermes_tmg.Csr.t} freeze of the net (a field-by-field
+    copy) and uses exact integer arithmetic — no solver code, no floats, no
+    caches. A bug anywhere in the solver stack (or a stale cache) produces a
+    certificate the checker rejects; it cannot produce a wrong verdict that
+    still checks out.
 
     Certificate semantics (paper §3: deadlock freedom ⇔ no token-free
     cycle; cycle time = maximum cycle ratio):
@@ -59,18 +60,17 @@ type violation = {
   detail : string;  (** what exactly did not hold *)
 }
 
-val check : Tmg.t -> t -> (unit, violation) result
-(** [check tmg cert] validates every proof obligation of [cert] against the
-    raw net. Uses only [Tmg] accessors and exact integer arithmetic; never
-    calls solver code. O(E). *)
-
 val check_csr : Ermes_tmg.Csr.t -> t -> (unit, violation) result
-(** The same obligations as {!check}, read off a frozen {!Ermes_tmg.Csr.t}
-    instead of the pointer net — allocation-free scans over the flat arrays,
-    suitable for million-place nets. The freeze itself joins the trusted
-    base: for full independence pass a fresh {!Ermes_tmg.Csr.of_tmg}, not a
-    solver's internal state. [check_csr (Csr.of_tmg tmg) c] accepts exactly
-    when [check tmg c] does. *)
+(** [check_csr g cert] validates every proof obligation of [cert] against
+    the frozen net [g]: allocation-free scans over the flat arrays in exact
+    integer arithmetic, never calling solver code. O(E), suitable for
+    million-place nets. The freeze itself joins the trusted base: for full
+    independence pass a fresh {!Ermes_tmg.Csr.of_tmg}, not a solver's
+    internal state. Freeze once and reuse [g] to check several certificates
+    of the same net. *)
+
+val check : Tmg.t -> t -> (unit, violation) result
+(** [check tmg cert] is [check_csr (Csr.of_tmg tmg) cert]. *)
 
 val describe : t -> string
 (** One-line human-readable summary ("bounded: ratio 12/1, witness of 5
@@ -81,24 +81,18 @@ val pp_violation : Format.formatter -> violation -> unit
 (** {2 Constructors from solver outputs}
 
     These translate each solver's native result into a certificate. They may
-    call solver code (only {!check} is independent); a disagreement between
+    call solver code (only the checker is independent); a disagreement between
     the pieces they assemble yields a certificate {!check} rejects, never a
     silently wrong one. *)
 
-val of_howard :
-  Tmg.t ->
-  (Ermes_tmg.Howard.result, Ermes_tmg.Howard.error) result ->
-  t
-
 val of_howard_csr :
   Ermes_tmg.Csr.t ->
-  (Ermes_tmg.Howard.result, Ermes_tmg.Howard.error) result ->
+  (Ermes_tmg.Csr.result, Ermes_tmg.Csr.error) result ->
   t
-(** Like {!of_howard} but the liveness / acyclicity rank vectors are
-    computed on the CSR core ({!Ermes_tmg.Csr.live_ranks} /
-    {!Ermes_tmg.Csr.topo_ranks}) — no pointer-net traversal anywhere on the
-    certification path. On a freshly built net the resulting certificate is
-    bit-identical to {!of_howard}'s. *)
+(** From {!Ermes_tmg.Csr.solve} on the net [g] freezes: ratio, witness and
+    potentials come from the solver, the liveness / acyclicity rank vectors
+    from {!Ermes_tmg.Csr.live_ranks} / {!Ermes_tmg.Csr.topo_ranks} on [g] —
+    no pointer-net traversal anywhere on the certification path. *)
 
 val of_lawler :
   Tmg.t ->

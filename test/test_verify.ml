@@ -10,7 +10,7 @@
 
 module Tmg = Ermes_tmg.Tmg
 module Ratio = Ermes_tmg.Ratio
-module Howard = Ermes_tmg.Howard
+module Csr = Ermes_tmg.Csr
 module Lawler = Ermes_tmg.Lawler
 module Karp = Ermes_tmg.Karp
 module Liveness = Ermes_tmg.Liveness
@@ -53,7 +53,7 @@ let raw_tmg_gen = QCheck2.Gen.map build_raw_tmg Helpers.random_tmg_gen
 (* ---- soundness: solver outputs check out -------------------------------- *)
 
 let prop_howard_certified tmg =
-  accepted tmg (Verify.of_howard tmg (Howard.cycle_time tmg))
+  accepted tmg (Verify.of_howard_csr (Csr.of_tmg tmg) (Csr.cycle_time tmg))
 
 let prop_lawler_certified tmg =
   accepted tmg (Verify.of_lawler tmg (Lawler.certified tmg))
@@ -69,7 +69,7 @@ let prop_liveness_certified tmg = accepted tmg (Verify.of_liveness tmg)
    check out: a Bounded certificate on a deadlocked net would be caught by
    the ranks, but make sure the constructors picked the right variant. *)
 let prop_certificate_variant tmg =
-  let cert = Verify.of_howard tmg (Howard.cycle_time tmg) in
+  let cert = Verify.of_howard_csr (Csr.of_tmg tmg) (Csr.cycle_time tmg) in
   match (cert, Liveness.find_dead_cycle tmg) with
   | Verify.Deadlocked _, Some _ -> accepted tmg cert
   | (Verify.Bounded _ | Verify.Acyclic _), None -> accepted tmg cert
@@ -123,7 +123,7 @@ let mutations_gen =
    arc's source breaks that arc's inequality — unless the arc is a
    self-loop, whose inequality cancels the potential. *)
 let prop_perturbed_potential_rejected tmg =
-  match Verify.of_howard tmg (Howard.cycle_time tmg) with
+  match Verify.of_howard_csr (Csr.of_tmg tmg) (Csr.cycle_time tmg) with
   | Verify.Bounded b as cert -> (
     if not (accepted tmg cert) then false
     else
@@ -142,7 +142,7 @@ let prop_perturbed_potential_rejected tmg =
    break the closed walk (or, for a one-place witness, the closure), so the
    checker has to notice. *)
 let prop_perturbed_edge_rejected tmg =
-  match Verify.of_howard tmg (Howard.cycle_time tmg) with
+  match Verify.of_howard_csr (Csr.of_tmg tmg) (Csr.cycle_time tmg) with
   | Verify.Bounded b as cert -> (
     if not (accepted tmg cert) then false
     else
@@ -173,7 +173,7 @@ let prop_fake_live_rejected tmg =
 let test_checker_obligations () =
   let sys = Motivating.optimal () in
   let tmg = (To_tmg.build sys).To_tmg.tmg in
-  match Verify.of_howard tmg (Howard.cycle_time tmg) with
+  match Verify.of_howard_csr (Csr.of_tmg tmg) (Csr.cycle_time tmg) with
   | Verify.Bounded b ->
     Alcotest.(check bool) "pristine accepted" true (accepted tmg (Verify.Bounded b));
     (* wrong ratio *)
@@ -290,6 +290,69 @@ let prop_lint_json_roundtrip sys =
   | Error _ -> true
   | Ok r -> Lint.of_json (Lint.to_json r) = Ok r
 
+(* Lint's W201/W202 probes re-solve one warm CSR solver after each
+   To_tmg.rethread. Every reported improvement must match a fresh analysis
+   of the swapped design, and every adjacent swap that strictly lowers the
+   fresh cycle time must be reported — nothing missed, nothing invented. *)
+let prop_lint_probes_match_fresh (sys, draws) =
+  Helpers.permute_orders sys draws;
+  let text = Ermes_slm.Soc_format.print sys in
+  match (Lint.lint_string text, Ermes_slm.Soc_format.parse text) with
+  | Error _, _ | _, Error _ -> true
+  | Ok r, Ok sys ->
+    let reported =
+      List.filter_map
+        (fun d ->
+          if d.Lint.code = "W201" || d.Lint.code = "W202" then Some (d.Lint.code, d.Lint.message)
+          else None)
+        r.Lint.diagnostics
+      |> List.sort compare
+    in
+    let expected =
+      match (r.Lint.checked_semantics, Lint.errors r, Perf.analyze sys) with
+      | true, 0, Ok base ->
+        let base_ct = base.Perf.cycle_time in
+        List.concat_map
+          (fun p ->
+            List.concat_map
+              (fun (code, keyword, order, set_order) ->
+                let order = Array.of_list (order sys p) in
+                List.init (max 0 (Array.length order - 1)) (fun i ->
+                    let swapped = Array.copy order in
+                    swapped.(i) <- order.(i + 1);
+                    swapped.(i + 1) <- order.(i);
+                    let probe = System.copy sys in
+                    set_order probe p (Array.to_list swapped);
+                    match Perf.analyze probe with
+                    | Ok a when Ratio.(a.Perf.cycle_time < base_ct) ->
+                      Some
+                        ( code,
+                          Printf.sprintf
+                            "process %s: swapping adjacent %s of %s and %s improves the \
+                             cycle time %s -> %s"
+                            (System.process_name sys p) keyword
+                            (System.channel_name sys order.(i))
+                            (System.channel_name sys order.(i + 1))
+                            (Ratio.to_string base_ct)
+                            (Ratio.to_string a.Perf.cycle_time) )
+                    | _ -> None)
+                |> List.filter_map Fun.id)
+              [
+                ("W201", "gets", System.get_order, System.set_get_order);
+                ("W202", "puts", System.put_order, System.set_put_order);
+              ])
+          (System.processes sys)
+        |> List.sort compare
+      | _ -> []
+    in
+    if reported <> expected then
+      QCheck2.Test.fail_reportf "lint reported:@.%a@.fresh analyses expect:@.%a"
+        Format.(pp_print_list (fun ppf (c, m) -> fprintf ppf "  %s %s" c m))
+        reported
+        Format.(pp_print_list (fun ppf (c, m) -> fprintf ppf "  %s %s" c m))
+        expected;
+    true
+
 (* ---- runner -------------------------------------------------------------- *)
 
 let () =
@@ -338,5 +401,11 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_lint_json_roundtrip;
           Helpers.qtest ~count:60 "json roundtrip (random systems)"
             Helpers.dag_system_gen prop_lint_json_roundtrip;
+          Helpers.qtest ~count:60 "probes match fresh analysis (DAG systems)"
+            QCheck2.Gen.(pair Helpers.dag_system_gen (list_size (int_range 1 20) int))
+            prop_lint_probes_match_fresh;
+          Helpers.qtest ~count:40 "probes match fresh analysis (feedback systems)"
+            QCheck2.Gen.(pair Helpers.feedback_system_gen (list_size (int_range 1 20) int))
+            prop_lint_probes_match_fresh;
         ] );
     ]
