@@ -1129,6 +1129,7 @@ let chaos_bench () =
   hr "Chaos layer - passthrough-Io overhead on the I/O hot paths";
   let module Chaos = Ermes_chaos.Chaos in
   let module Sproto = Ermes_serve.Proto in
+  let module Json = Ermes_json.Json in
   let io = Chaos.Io.passthrough in
   let reps = 7 in
   (* Journal appends render the whole file and write it in one call; model
@@ -1157,8 +1158,7 @@ let chaos_bench () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let req =
     Sproto.frame
-      (Sproto.to_string
-         (Sproto.Obj [ ("id", Sproto.Int 1); ("verb", Sproto.Str "ping") ]))
+      (Json.to_string (Json.Obj [ ("id", Json.Int 1); ("verb", Json.Str "ping") ]))
   in
   let buf = Bytes.create 4096 in
   let m = if quick then 20_000 else 50_000 in

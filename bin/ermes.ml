@@ -32,6 +32,7 @@ module Chaos = Ermes_chaos.Chaos
 module Shrink = Ermes_fault.Shrink
 module Generate = Ermes_synth.Generate
 module Sproto = Ermes_serve.Proto
+module Json = Ermes_json.Json
 module Server = Ermes_serve.Server
 
 open Cmdliner
@@ -945,7 +946,7 @@ let lint_cmd =
     | Ok report ->
       (match format with
        | `Text -> Format.printf "%a" Lint.pp_text report
-       | `Json -> print_endline (Lint.to_json report));
+       | `Json -> print_endline (Json.to_string (Lint.to_json report)));
       if Lint.errors report > 0 then exit 2
       else if Lint.warnings report > 0 && not warnings_ok then exit 2
   in
@@ -1142,23 +1143,23 @@ let call_cmd =
     let body_fields =
       List.concat
         [
-          [ ("verb", Sproto.Str verb) ];
+          [ ("verb", Json.Str verb) ];
           (match design with
           | None -> []
-          | Some f -> [ ("design", Sproto.Str (read_file f)) ]);
-          (match session with None -> [] | Some s -> [ ("session", Sproto.Str s) ]);
-          (match tct with None -> [] | Some t -> [ ("tct", Sproto.Int t) ]);
+          | Some f -> [ ("design", Json.Str (read_file f)) ]);
+          (match session with None -> [] | Some s -> [ ("session", Json.Str s) ]);
+          (match tct with None -> [] | Some t -> [ ("tct", Json.Int t) ]);
           (match deadline_ms with
           | None -> []
-          | Some d -> [ ("deadline_ms", Sproto.Int d) ]);
-          (match inject with None -> [] | Some i -> [ ("inject", Sproto.Str i) ]);
-          (if warnings_ok then [ ("warnings_ok", Sproto.Bool true) ] else []);
-          (match format with None -> [] | Some f -> [ ("format", Sproto.Str f) ]);
+          | Some d -> [ ("deadline_ms", Json.Int d) ]);
+          (match inject with None -> [] | Some i -> [ ("inject", Json.Str i) ]);
+          (if warnings_ok then [ ("warnings_ok", Json.Bool true) ] else []);
+          (match format with None -> [] | Some f -> [ ("format", Json.Str f) ]);
           (match jobs_file with
           | None -> []
           | Some f -> (
-            match Sproto.of_string (read_file f) with
-            | Ok (Sproto.Arr _ as jobs) -> [ ("jobs", jobs) ]
+            match Json.of_string (read_file f) with
+            | Ok (Json.Arr _ as jobs) -> [ ("jobs", jobs) ]
             | Ok _ -> die 1 (f ^ ": expected a JSON array of jobs")
             | Error e -> die 1 (f ^ ": " ^ e)));
         ]
@@ -1201,11 +1202,11 @@ let call_cmd =
       go ()
     in
     let code_of payload =
-      match Sproto.of_string payload with
-      | Ok j -> Option.value ~default:1 (Sproto.int_member "code" j)
+      match Json.of_string payload with
+      | Ok j -> Option.value ~default:1 (Json.int_member "code" j)
       | Error _ -> 1
     in
-    send_payload (Sproto.to_string (Sproto.hello_request ~client));
+    send_payload (Json.to_string (Sproto.hello_request ~client));
     let hello = read_reply () in
     if code_of hello <> 0 then begin
       print_endline hello;
@@ -1215,7 +1216,7 @@ let call_cmd =
        is what makes queue-overload tests deterministic. *)
     for id = 1 to repeat do
       send_payload
-        (Sproto.to_string (Sproto.Obj (("id", Sproto.Int id) :: body_fields)))
+        (Json.to_string (Json.Obj (("id", Json.Int id) :: body_fields)))
     done;
     let worst = ref 0 in
     for _ = 1 to repeat do
@@ -1224,8 +1225,8 @@ let call_cmd =
          is printed as that text; everything else as the raw JSON line. *)
       (match
          if format = Some "text" then
-           Option.bind (Result.to_option (Sproto.of_string payload))
-             (Sproto.str_member "text")
+           Option.bind (Result.to_option (Json.of_string payload))
+             (Json.str_member "text")
          else None
        with
       | Some text -> print_string text
@@ -1571,12 +1572,16 @@ let chaos_check_serve ~dir plan =
     | exception Unix.Unix_error (e, _, _) ->
       Error ("send: " ^ Unix.error_message e)
   in
-  let send fd payload = send_raw fd (Sproto.frame payload) in
+  let send fd doc = send_raw fd (Sproto.frame (Json.to_string doc)) in
   let buf = Bytes.create 4096 in
+  (* One reply: its raw payload (for diagnostics) and the parsed document. *)
   let recv what fd dec =
     let rec go () =
       match Sproto.next dec with
-      | Ok (Some payload) -> Ok payload
+      | Ok (Some payload) -> (
+        match Json.of_string payload with
+        | Ok j -> Ok (payload, j)
+        | Error e -> Error (what ^ ": unparseable reply: " ^ e))
       | Error e -> Error (what ^ ": bad frame from daemon: " ^ e)
       | Ok None -> (
         match Unix.read fd buf 0 (Bytes.length buf) with
@@ -1592,11 +1597,6 @@ let chaos_check_serve ~dir plan =
     in
     go ()
   in
-  let parsed what payload =
-    match Sproto.of_string payload with
-    | Ok j -> Ok j
-    | Error e -> Error (what ^ ": unparseable reply: " ^ e)
-  in
   let rec expect_eof fd =
     match Unix.read fd buf 0 (Bytes.length buf) with
     | 0 -> Ok ()
@@ -1611,26 +1611,18 @@ let chaos_check_serve ~dir plan =
     (let* fd = wait_ready 100 in
      let dec = Sproto.decoder () in
      let res =
+       let* () = send fd (Sproto.hello_request ~client:"chaos") in
+       let* hello, j = recv "hello" fd dec in
        let* () =
-         send fd (Sproto.to_string (Sproto.hello_request ~client:"chaos"))
-       in
-       let* hello = recv "hello" fd dec in
-       let* j = parsed "hello" hello in
-       let* () =
-         if Sproto.str_member "status" j = Some "ok" then Ok ()
+         if Json.str_member "status" j = Some "ok" then Ok ()
          else Error ("hello not ok: " ^ hello)
        in
-       let* () =
-         send fd
-           (Sproto.to_string
-              (Sproto.Obj [ ("id", Sproto.Int 1); ("verb", Sproto.Str "ping") ]))
-       in
+       let* () = send fd (Json.Obj [ ("id", Json.Int 1); ("verb", Json.Str "ping") ]) in
        (* the reply must be well-formed with the right id; a skewed clock
           may legitimately expire the deadline, so any status goes *)
-       let* ping = recv "ping" fd dec in
-       let* pj = parsed "ping" ping in
+       let* ping, pj = recv "ping" fd dec in
        let* () =
-         if Sproto.int_member "id" pj = Some 1 then Ok ()
+         if Json.int_member "id" pj = Some 1 then Ok ()
          else Error ("ping reply carries the wrong id: " ^ ping)
        in
        let* fd2 =
@@ -1639,25 +1631,18 @@ let chaos_check_serve ~dir plan =
        let res2 =
          let* () = send_raw fd2 "64\n{\"half" in
          let dec2 = Sproto.decoder () in
-         let* loris = recv "loris" fd2 dec2 in
-         let* lj = parsed "loris" loris in
+         let* loris, lj = recv "loris" fd2 dec2 in
          let* () =
-           if Sproto.str_member "status" lj = Some "bad-request" then Ok ()
+           if Json.str_member "status" lj = Some "bad-request" then Ok ()
            else Error ("loris reply is not bad-request: " ^ loris)
          in
          expect_eof fd2
        in
        close_fd fd2;
        let* () = res2 in
-       let* () =
-         send fd
-           (Sproto.to_string
-              (Sproto.Obj
-                 [ ("id", Sproto.Int 2); ("verb", Sproto.Str "metrics") ]))
-       in
-       let* m = recv "metrics" fd dec in
-       let* mj = parsed "metrics" m in
-       if Sproto.str_member "status" mj = Some "ok" then Ok ()
+       let* () = send fd (Json.Obj [ ("id", Json.Int 2); ("verb", Json.Str "metrics") ]) in
+       let* m, mj = recv "metrics" fd dec in
+       if Json.str_member "status" mj = Some "ok" then Ok ()
        else Error ("metrics not ok: " ^ m)
      in
      close_fd fd;

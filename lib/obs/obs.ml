@@ -158,22 +158,6 @@ let summary () =
 
 (* -- Chrome trace-event JSON ---------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let chrome_trace () =
   match Atomic.get sink with
   | None -> "{\"traceEvents\":[]}\n"
@@ -205,7 +189,7 @@ let chrome_trace () =
         emit
           (Printf.sprintf
              "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.1f,\"dur\":%.1f}"
-             (json_escape ev.ev_name) ev.tid (us ev.t0)
+             (Ermes_json.Json.escape ev.ev_name) ev.tid (us ev.t0)
              (Float.max 0. (us ev.t1 -. us ev.t0))))
       events;
     List.iter
@@ -213,7 +197,7 @@ let chrome_trace () =
         emit
           (Printf.sprintf
              "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%.1f,\"args\":{\"value\":%d}}"
-             (json_escape k) (us (!clock ())) v))
+             (Ermes_json.Json.escape k) (us (!clock ())) v))
       cs;
     Buffer.add_string buf "\n]}\n";
     Buffer.contents buf

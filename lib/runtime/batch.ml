@@ -5,6 +5,7 @@ module Ratio = Ermes_tmg.Ratio
 module Perf = Ermes_core.Perf
 module Lint = Ermes_verify.Lint
 module Obs = Ermes_obs.Obs
+module Json = Ermes_json.Json
 
 type action = Analyze | Lint | Simulate
 
@@ -102,8 +103,14 @@ type report = {
   elapsed_s : float;
 }
 
-let load file =
-  match Soc_format.parse_file file with
+let action_of_name = function
+  | "analyze" -> Some Analyze
+  | "lint" -> Some Lint
+  | "simulate" -> Some Simulate
+  | _ -> None
+
+let load text =
+  match Soc_format.parse text with
   | Error e -> Error e
   | Ok sys -> (
     match System.validate sys with
@@ -115,10 +122,10 @@ let load file =
    as values: retrying them would be pointless. Only genuine exceptions
    (injected crashes, infrastructure trouble) reach the supervisor's
    retry/quarantine machinery. *)
-let execute ~rounds job =
-  match job.action with
+let classify ~rounds action text =
+  match action with
   | Lint -> (
-    match Lint.lint_file job.file with
+    match Lint.lint_string text with
     | Error e -> Job_failed { category = "parse-error"; detail = e }
     | Ok r ->
       let errors = Lint.errors r and warnings = Lint.warnings r in
@@ -127,7 +134,7 @@ let execute ~rounds job =
           { category = "lint"; detail = Printf.sprintf "%d lint error(s)" errors }
       else Job_ok (Printf.sprintf "clean, %d warning(s)" warnings))
   | Analyze -> (
-    match load job.file with
+    match load text with
     | Error e -> Job_failed { category = "parse-error"; detail = e }
     | Ok sys -> (
       match Perf.analyze sys with
@@ -139,7 +146,7 @@ let execute ~rounds job =
         Job_failed
           { category; detail = Format.asprintf "%a" (Perf.pp_failure sys) f }))
   | Simulate -> (
-    match load job.file with
+    match load text with
     | Error e -> Job_failed { category = "parse-error"; detail = e }
     | Ok sys -> (
       match Sim.steady_cycle_time ~rounds sys with
@@ -152,6 +159,11 @@ let execute ~rounds job =
       | Ok (Sim.Timeout t) ->
         Job_failed
           { category = "sim-watchdog"; detail = Format.asprintf "%a" Sim.pp_timeout t }))
+
+let execute ~rounds job =
+  match In_channel.with_open_bin job.file In_channel.input_all with
+  | exception Sys_error e -> Job_failed { category = "parse-error"; detail = e }
+  | text -> classify ~rounds job.action text
 
 let rec chunks k = function
   | [] -> []
@@ -251,21 +263,6 @@ let exit_code r = if r.watchdog then 3 else if r.ok = List.length r.results then
 
 (* ---- reports ------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let status_detail = function
   | Job_ok d -> d
   | Job_failed { detail; _ } -> detail
@@ -282,13 +279,13 @@ let to_json r =
     (fun i jr ->
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b "\n    {\"file\": \"%s\", \"action\": \"%s\", \"status\": \"%s\""
-        (json_escape jr.job.file) (action_name jr.job.action) (status_name jr.status);
+        (Json.escape jr.job.file) (action_name jr.job.action) (status_name jr.status);
       (match jr.status with
       | Job_failed { category; _ } ->
-        Printf.bprintf b ", \"category\": \"%s\"" (json_escape category)
+        Printf.bprintf b ", \"category\": \"%s\"" (Json.escape category)
       | _ -> ());
       Printf.bprintf b ", \"detail\": \"%s\", \"attempts\": %d}"
-        (json_escape (status_detail jr.status))
+        (Json.escape (status_detail jr.status))
         jr.attempts)
     r.results;
   Printf.bprintf b "\n  ],\n  \"total\": %d,\n  \"ok\": %d,\n  \"failed\": %d,\n"

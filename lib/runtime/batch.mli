@@ -32,6 +32,9 @@ type action = Analyze | Lint | Simulate
 
 val action_name : action -> string
 
+val action_of_name : string -> action option
+(** Inverse of {!action_name}. *)
+
 type inject =
   | No_inject
   | Crash  (** every attempt raises *)
@@ -59,6 +62,23 @@ type status =
 val status_name : status -> string
 (** ["ok"], ["failed"], ["quarantined"], ["timed-out"], ["skipped"] — the
     [status] field of the JSON report. *)
+
+val status_detail : status -> string
+(** The human detail of a status — the [detail] field of the JSON report. *)
+
+val load : string -> (Ermes_slm.System.t, string) result
+(** Parse and validate a design text; a validation failure reads
+    ["invalid system: ..."]. *)
+
+val classify : rounds:int -> action -> string -> status
+(** The job's verdict on a design text: [Job_ok] or [Job_failed], never an
+    exception for bad input. [Lint] lints the text as it stands (lint
+    errors are category ["lint"]); [Analyze] and [Simulate] first parse
+    and validate it (failures are ["parse-error"]), then run
+    {!Ermes_core.Perf.analyze} or a [rounds]-round
+    {!Ermes_slm.Sim.steady_cycle_time}. A file job is [classify] over the
+    file's contents; the daemon's [batch] verb calls it on inline designs,
+    so both report the same status, category and detail. *)
 
 type job_report = { job : job; status : status; attempts : int }
 

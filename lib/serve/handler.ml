@@ -1,6 +1,4 @@
-module System = Ermes_slm.System
 module Soc_format = Ermes_slm.Soc_format
-module Sim = Ermes_slm.Sim
 module To_tmg = Ermes_slm.To_tmg
 module Ratio = Ermes_tmg.Ratio
 module Csr = Ermes_tmg.Csr
@@ -10,12 +8,15 @@ module Incremental = Ermes_core.Incremental
 module Verify = Ermes_verify.Verify
 module Lint = Ermes_verify.Lint
 module Obs = Ermes_obs.Obs
+module Batch = Ermes_runtime.Batch
 module Cancel = Ermes_runtime.Supervise.Cancel
+module Json = Ermes_json.Json
 
+open Json
 open Proto
 
 type deps = {
-  cache : (string * (string * json) list) Cache.t;
+  cache : (string * (string * Json.t) list) Cache.t;
   sessions : Session.table;
   rounds : int;
 }
@@ -65,13 +66,7 @@ let apply_inject ~attempts ~cancel = function
 let parse_design body =
   match str_member "design" body with
   | None -> Error "missing \"design\" field"
-  | Some text -> (
-    match Soc_format.parse text with
-    | Error e -> Error e
-    | Ok sys -> (
-      match System.validate sys with
-      | Ok () -> Ok sys
-      | Error e -> Error ("invalid system: " ^ e)))
+  | Some text -> Batch.load text
 
 let ratio_fields prefix r =
   [
@@ -176,19 +171,14 @@ let analyze_cold deps ~cancel ~id sys =
 
 let analyze deps ~cancel ~client req =
   let id = req.id in
-  match str_member "session" req.body with
-  | None -> (
-    match parse_design req.body with
+  match (parse_design req.body, str_member "session" req.body) with
+  | Error e, _ -> invalid ~id ~verb:"analyze" e
+  | Ok sys, None -> analyze_cold deps ~cancel ~id sys
+  | Ok sys, Some name -> (
+    Cancel.check cancel;
+    match Session.reanalyze deps.sessions ~client ~name sys with
     | Error e -> invalid ~id ~verb:"analyze" e
-    | Ok sys -> analyze_cold deps ~cancel ~id sys)
-  | Some name -> (
-    match parse_design req.body with
-    | Error e -> invalid ~id ~verb:"analyze" e
-    | Ok sys -> (
-      Cancel.check cancel;
-      match Session.reanalyze deps.sessions ~client ~name sys with
-      | Error e -> invalid ~id ~verb:"analyze" e
-      | Ok outcome -> session_reply ~id ~verb:"analyze" ~name outcome))
+    | Ok outcome -> session_reply ~id ~verb:"analyze" ~name outcome)
 
 let session_open deps ~cancel ~client req =
   let id = req.id in
@@ -229,11 +219,9 @@ let lint req =
         else if warnings > 0 && not warnings_ok then "findings"
         else "ok"
       in
-      let report =
-        match of_string (Lint.to_json r) with Ok j -> j | Error _ -> Null
-      in
       reply ~id ~verb:"lint" status
-        ~extra:[ ("errors", Int errors); ("warnings", Int warnings); ("report", report) ])
+        ~extra:
+          [ ("errors", Int errors); ("warnings", Int warnings); ("report", Lint.to_json r) ])
 
 let dse ~cancel req =
   let id = req.id in
@@ -278,46 +266,15 @@ let batch deps ~cancel req =
            ]
           @ match category with None -> [] | Some c -> [ ("category", Str c) ])
       in
-      match str_member "design" job with
-      | None -> item "failed" ~category:"bad-request" "missing \"design\" field"
-      | Some text -> (
-        let parsed =
-          match Soc_format.parse text with
-          | Error e -> Error e
-          | Ok sys -> (
-            match System.validate sys with
-            | Ok () -> Ok sys
-            | Error e -> Error ("invalid system: " ^ e))
-        in
-        match (action, parsed) with
-        | _, Error e -> item "failed" ~category:"parse-error" e
-        | "lint", _ -> (
-          match Lint.lint_string text with
-          | Error e -> item "failed" ~category:"parse-error" e
-          | Ok r ->
-            if Lint.errors r > 0 then
-              item "failed" ~category:"lint"
-                (Printf.sprintf "%d lint error(s)" (Lint.errors r))
-            else item "ok" (Printf.sprintf "clean, %d warning(s)" (Lint.warnings r)))
-        | "analyze", Ok sys -> (
-          match Perf.analyze sys with
-          | Ok a -> item "ok" ("cycle time " ^ Ratio.to_string a.Perf.cycle_time)
-          | Error (Perf.Deadlock _ as f) ->
-            item "failed" ~category:"deadlock" (Format.asprintf "%a" (Perf.pp_failure sys) f)
-          | Error (Perf.No_cycle as f) ->
-            item "failed" ~category:"analysis" (Format.asprintf "%a" (Perf.pp_failure sys) f))
-        | "simulate", Ok sys -> (
-          match Sim.steady_cycle_time ~rounds:deps.rounds sys with
-          | Error e -> item "failed" ~category:"analysis" e
-          | Ok (Sim.Period r) -> item "ok" ("measured cycle time " ^ Ratio.to_string r)
-          | Ok Sim.No_period -> item "ok" "no exact period within the horizon"
-          | Ok (Sim.Deadlock d) ->
-            item "failed" ~category:"deadlock" (Format.asprintf "%a" (Sim.pp_deadlock sys) d)
-          | Ok (Sim.Timeout t) ->
-            item "failed" ~category:"sim-watchdog" (Format.asprintf "%a" Sim.pp_timeout t))
-        | a, Ok _ ->
-          item "failed" ~category:"bad-request"
-            (Printf.sprintf "unknown action %S (expected analyze|lint|simulate)" a))
+      match (str_member "design" job, Batch.action_of_name action) with
+      | None, _ -> item "failed" ~category:"bad-request" "missing \"design\" field"
+      | Some _, None ->
+        item "failed" ~category:"bad-request"
+          (Printf.sprintf "unknown action %S (expected analyze|lint|simulate)" action)
+      | Some text, Some a -> (
+        match Batch.classify ~rounds:deps.rounds a text with
+        | Batch.Job_failed { category; detail } -> item "failed" ~category detail
+        | st -> item (Batch.status_name st) (Batch.status_detail st))
     in
     let items = List.mapi run_job jobs in
     let ok =

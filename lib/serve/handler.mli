@@ -12,7 +12,8 @@
     - [dse] — the exploration loop toward a target cycle time, cooperative
       cancellation once per iteration;
     - [batch] — a list of inline design jobs (analyze/lint/simulate), each
-      isolated, cancellation checked between jobs;
+      classified by {!Ermes_runtime.Batch.classify} exactly as [ermes batch]
+      classifies a file, cancellation checked between jobs;
     - [ping] — no-op (liveness; with an [inject] it occupies a worker, which
       is how the tests make overload deterministic);
     - [session-open] / [session-close] — manage incremental sessions.
@@ -27,7 +28,7 @@
 module Cancel = Ermes_runtime.Supervise.Cancel
 
 type deps = {
-  cache : (string * (string * Proto.json) list) Cache.t;
+  cache : (string * (string * Ermes_json.Json.t) list) Cache.t;
       (** design hash → (status, reply fields) of a certified analysis *)
   sessions : Session.table;
   rounds : int;  (** simulation horizon for batch [simulate] jobs *)
@@ -35,7 +36,7 @@ type deps = {
 
 type inject = No_inject | Crash | Flaky of int | Sleep of int | Kill_worker
 
-val inject_of_body : Proto.json -> (inject, string) result
+val inject_of_body : Ermes_json.Json.t -> (inject, string) result
 (** Reads the optional ["inject"] field. *)
 
 val apply_inject : attempts:int ref -> cancel:Cancel.t -> inject -> unit
@@ -44,7 +45,12 @@ val apply_inject : attempts:int ref -> cancel:Cancel.t -> inject -> unit
     cancellation token every 10 ms, so an expired deadline interrupts it. *)
 
 val execute :
-  deps -> cancel:Cancel.t -> attempts:int ref -> client:string -> Proto.request -> Proto.json
+  deps ->
+  cancel:Cancel.t ->
+  attempts:int ref ->
+  client:string ->
+  Proto.request ->
+  Ermes_json.Json.t
 (** Run one request to a reply. Applies the request's [inject] first (so
     retries see it again), then dispatches on the verb. Exceptions escape —
     containment is the supervisor's job. *)

@@ -10,10 +10,9 @@
     The prefix makes framing independent of the payload (a design text may
     contain anything), keeps the decoder allocation-bounded (a hostile
     length is rejected before any buffering), and still leaves the stream
-    readable in a terminal. JSON is hand-rolled in the style of
-    [ermes lint --format json]: the emitter produces canonical single-line
-    documents, the parser accepts standard JSON (objects, arrays, strings,
-    integers, floats, booleans, null).
+    readable in a terminal. Payloads are {!Ermes_json.Json} documents: the
+    canonical single-line rendering out, standard JSON nested at most
+    {!Ermes_json.Json.max_depth} deep in.
 
     Versioning: the first frame a client sends must be a [hello] carrying
     [proto_version]; the server answers with its own and refuses mismatched
@@ -27,31 +26,6 @@
 
 val proto_version : int
 (** Current protocol version: 1. *)
-
-(** {1 JSON} *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val to_string : json -> string
-(** Canonical single-line rendering (object fields in given order, strings
-    escaped, floats as shortest round-trip decimal, never NaN/inf — those
-    raise [Invalid_argument]). *)
-
-val of_string : string -> (json, string) result
-
-val member : string -> json -> json option
-(** Field lookup on an [Obj]; [None] on other constructors. *)
-
-val str_member : string -> json -> string option
-val int_member : string -> json -> int option
-val bool_member : string -> json -> bool option
 
 (** {1 Framing} *)
 
@@ -91,7 +65,7 @@ val pending : decoder -> bool
 type request = {
   id : int;  (** client-chosen; echoed verbatim in the reply *)
   verb : string;
-  body : json;  (** the whole request object, for verb-specific fields *)
+  body : Ermes_json.Json.t;  (** the whole request object, for verb-specific fields *)
 }
 
 val parse_request : string -> (request, string) result
@@ -104,13 +78,24 @@ val code_of_status : string -> int
     [overloaded], [client-cap], [degraded], [shutting-down] 3. Unknown
     statuses map to 1. *)
 
-val reply : ?extra:(string * json) list -> id:int -> verb:string -> string -> json
+val reply :
+  ?extra:(string * Ermes_json.Json.t) list ->
+  id:int ->
+  verb:string ->
+  string ->
+  Ermes_json.Json.t
 (** [reply ~id ~verb status] builds the canonical reply object
     [{"id";"verb";"status";"code";...extra}] with [code] from
     {!code_of_status}. *)
 
-val error_reply : ?extra:(string * json) list -> id:int -> verb:string -> status:string -> string -> json
+val error_reply :
+  ?extra:(string * Ermes_json.Json.t) list ->
+  id:int ->
+  verb:string ->
+  status:string ->
+  string ->
+  Ermes_json.Json.t
 (** A reply with an [error] message field. *)
 
-val hello_request : client:string -> json
-val hello_reply : id:int -> server:string -> json
+val hello_request : client:string -> Ermes_json.Json.t
+val hello_reply : id:int -> server:string -> Ermes_json.Json.t

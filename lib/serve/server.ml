@@ -2,6 +2,8 @@ module Obs = Ermes_obs.Obs
 module Supervise = Ermes_runtime.Supervise
 module Cancel = Supervise.Cancel
 module Chaos = Ermes_chaos.Chaos
+module Json = Ermes_json.Json
+open Json
 open Proto
 
 type config = {
@@ -82,7 +84,7 @@ type job = {
   jenqueued : float;
 }
 
-type completion = { cconn : int; cid : int; creply : Proto.json }
+type completion = { cconn : int; cid : int; creply : Json.t }
 
 type t = {
   cfg : config;

@@ -4,6 +4,7 @@ module To_tmg = Ermes_slm.To_tmg
 module Liveness = Ermes_tmg.Liveness
 module Ratio = Ermes_tmg.Ratio
 module Csr = Ermes_tmg.Csr
+module Json = Ermes_json.Json
 
 type severity = Error | Warning
 
@@ -417,10 +418,12 @@ let lint_file path =
 (* Output. *)
 (* ------------------------------------------------------------------ *)
 
+let severity_name = function Error -> "error" | Warning -> "warning"
+
 let pp_text ppf r =
   List.iter
     (fun d ->
-      let sev = match d.severity with Error -> "error" | Warning -> "warning" in
+      let sev = severity_name d.severity in
       if d.line = 0 then
         Format.fprintf ppf "%s: %s %s: %s@." r.file d.code sev d.message
       else
@@ -430,206 +433,63 @@ let pp_text ppf r =
   Format.fprintf ppf "%s: %d error(s), %d warning(s)@." r.file (errors r)
     (warnings r)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json r =
-  let buf = Buffer.create 512 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "{\"file\":\"%s\",\"checked_semantics\":%b,\"errors\":%d,\"warnings\":%d,\"diagnostics\":["
-    (escape r.file) r.checked_semantics (errors r) (warnings r);
-  List.iteri
-    (fun i d ->
-      if i > 0 then pf ",";
-      pf "{\"code\":\"%s\",\"severity\":\"%s\",\"line\":%d,\"col\":%d,\"message\":\"%s\"}"
-        (escape d.code)
-        (match d.severity with Error -> "error" | Warning -> "warning")
-        d.line d.col (escape d.message))
-    r.diagnostics;
-  pf "]}";
-  Buffer.contents buf
-
-(* A recursive-descent parser for exactly the JSON subset [to_json] emits. *)
-type json =
-  | Jobj of (string * json) list
-  | Jarr of json list
-  | Jstr of string
-  | Jint of int
-  | Jbool of bool
-
-exception Bad_json of string
-
-let parse_json text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some d when d = c -> advance ()
-    | Some d -> raise (Bad_json (Printf.sprintf "expected %C at %d, got %C" c !pos d))
-    | None -> raise (Bad_json (Printf.sprintf "expected %C at end of input" c))
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Bad_json "unterminated string");
-      let c = text.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        if !pos >= n then raise (Bad_json "unterminated escape");
-        let e = text.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          if !pos + 4 > n then raise (Bad_json "truncated \\u escape");
-          let hex = String.sub text !pos 4 in
-          pos := !pos + 4;
-          (match int_of_string_opt ("0x" ^ hex) with
-          | Some code when code < 0x100 -> Buffer.add_char buf (Char.chr code)
-          | Some _ -> raise (Bad_json "non-latin1 \\u escape unsupported")
-          | None -> raise (Bad_json "bad \\u escape"))
-        | c -> raise (Bad_json (Printf.sprintf "bad escape \\%c" c)));
-        go ()
-      | c -> Buffer.add_char buf c; go ()
-    in
-    go ()
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); Jobj [] end
-      else begin
-        let rec members acc =
-          let key = parse_string () in
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); skip_ws (); members ((key, v) :: acc)
-          | Some '}' -> advance (); List.rev ((key, v) :: acc)
-          | _ -> raise (Bad_json "expected ',' or '}' in object")
-        in
-        Jobj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); Jarr [] end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elements (v :: acc)
-          | Some ']' -> advance (); List.rev (v :: acc)
-          | _ -> raise (Bad_json "expected ',' or ']' in array")
-        in
-        Jarr (elements [])
-      end
-    | Some 't' ->
-      if !pos + 4 <= n && String.sub text !pos 4 = "true" then begin
-        pos := !pos + 4;
-        Jbool true
-      end
-      else raise (Bad_json "bad literal")
-    | Some 'f' ->
-      if !pos + 5 <= n && String.sub text !pos 5 = "false" then begin
-        pos := !pos + 5;
-        Jbool false
-      end
-      else raise (Bad_json "bad literal")
-    | Some ('-' | '0' .. '9') ->
-      let start = !pos in
-      if peek () = Some '-' then advance ();
-      while !pos < n && match text.[!pos] with '0' .. '9' -> true | _ -> false do
-        advance ()
-      done;
-      (match int_of_string_opt (String.sub text start (!pos - start)) with
-      | Some i -> Jint i
-      | None -> raise (Bad_json "bad number"))
-    | Some c -> raise (Bad_json (Printf.sprintf "unexpected %C" c))
-    | None -> raise (Bad_json "unexpected end of input")
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad_json "trailing garbage");
-  v
+let to_json r : Json.t =
+  Obj
+    [
+      ("file", Str r.file);
+      ("checked_semantics", Bool r.checked_semantics);
+      ("errors", Int (errors r));
+      ("warnings", Int (warnings r));
+      ( "diagnostics",
+        Arr
+          (List.map
+             (fun d : Json.t ->
+               Obj
+                 [
+                   ("code", Str d.code);
+                   ("severity", Str (severity_name d.severity));
+                   ("line", Int d.line);
+                   ("col", Int d.col);
+                   ("message", Str d.message);
+                 ])
+             r.diagnostics) );
+    ]
 
 let of_json text =
-  let field obj key =
-    match List.assoc_opt key obj with
-    | Some v -> v
-    | None -> raise (Bad_json (Printf.sprintf "missing field %S" key))
+  let exception Bad of string in
+  let need what key = function
+    | Some x -> x
+    | None -> raise (Bad (Printf.sprintf "missing %s field %S" what key))
   in
-  let str = function Jstr s -> s | _ -> raise (Bad_json "expected string") in
-  let int = function Jint i -> i | _ -> raise (Bad_json "expected integer") in
-  let boolean = function Jbool b -> b | _ -> raise (Bad_json "expected boolean") in
-  match parse_json text with
-  | exception Bad_json m -> Stdlib.Error m
-  | Jobj fields -> (
+  let str key v = need "string" key (Json.str_member key v) in
+  let int key v = need "integer" key (Json.int_member key v) in
+  let severity d =
+    match str "severity" d with
+    | "error" -> Error
+    | "warning" -> Warning
+    | s -> raise (Bad (Printf.sprintf "bad severity %S" s))
+  in
+  let diagnostic d =
+    {
+      code = str "code" d;
+      severity = severity d;
+      line = int "line" d;
+      col = int "col" d;
+      message = str "message" d;
+    }
+  in
+  match Json.of_string text with
+  | Stdlib.Error m -> Stdlib.Error m
+  | Ok v -> (
     try
-      let diagnostics =
-        match field fields "diagnostics" with
-        | Jarr items ->
-          List.map
-            (function
-              | Jobj d ->
-                {
-                  code = str (field d "code");
-                  severity =
-                    (match str (field d "severity") with
-                    | "error" -> Error
-                    | "warning" -> Warning
-                    | s -> raise (Bad_json (Printf.sprintf "bad severity %S" s)));
-                  line = int (field d "line");
-                  col = int (field d "col");
-                  message = str (field d "message");
-                }
-              | _ -> raise (Bad_json "diagnostic must be an object"))
-            items
-        | _ -> raise (Bad_json "diagnostics must be an array")
-      in
       Ok
         {
-          file = str (field fields "file");
-          checked_semantics = boolean (field fields "checked_semantics");
-          diagnostics;
+          file = str "file" v;
+          checked_semantics =
+            need "boolean" "checked_semantics" (Json.bool_member "checked_semantics" v);
+          diagnostics =
+            (match Json.member "diagnostics" v with
+            | Some (Json.Arr items) -> List.map diagnostic items
+            | _ -> raise (Bad "missing array field \"diagnostics\""));
         }
-    with Bad_json m -> Stdlib.Error m)
-  | _ -> Stdlib.Error "top-level value must be an object"
+    with Bad m -> Stdlib.Error m)

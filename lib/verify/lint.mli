@@ -84,13 +84,12 @@ val pp_text : Format.formatter -> report -> unit
 (** One line per diagnostic ([FILE:LINE:COL: CODE severity: message]),
     followed by a summary line. *)
 
-val to_json : report -> string
-(** Canonical single-line JSON:
+val to_json : report -> Ermes_json.Json.t
+(** The report as a document whose canonical rendering is
     [{"file":...,"checked_semantics":...,"errors":N,"warnings":N,
     "diagnostics":[{"code":...,"severity":...,"line":N,"col":N,
     "message":...}]}]. *)
 
 val of_json : string -> (report, string) result
-(** Parses {!to_json} output back; [of_json (to_json r) = Ok r]. Accepts
-    only the subset of JSON {!to_json} emits (objects, arrays, strings,
-    integers, booleans). *)
+(** Parses a rendered {!to_json} document back:
+    [of_json (Json.to_string (to_json r)) = Ok r]. *)

@@ -198,3 +198,40 @@ let permute_orders sys draws =
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* ---- random JSON documents --------------------------------------------- *)
+
+(* A bounded random JSON document. Strings draw from printables plus the
+   characters the escaper must handle; floats stay finite. *)
+let json_gen =
+  let module Json = Ermes_json.Json in
+  QCheck2.Gen.(
+    let str_g =
+      map
+        (fun cs -> String.concat "" cs)
+        (list_size (int_range 0 12)
+           (oneofl [ "a"; "\""; "\\"; "\n"; "\t"; "/"; "é"; " "; "{"; "0" ]))
+    in
+    let scalar =
+      oneof
+        [
+          return Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun i -> Json.Int i) (int_range (-1_000_000) 1_000_000);
+          map (fun f -> Json.Float f) (float_range (-1e9) 1e9);
+          map (fun s -> Json.Str s) str_g;
+        ]
+    in
+    let rec doc depth =
+      if depth = 0 then scalar
+      else
+        oneof
+          [
+            scalar;
+            map (fun xs -> Json.Arr xs) (list_size (int_range 0 4) (doc (depth - 1)));
+            map
+              (fun kvs -> Json.Obj kvs)
+              (list_size (int_range 0 4) (pair str_g (doc (depth - 1))));
+          ]
+    in
+    doc 3)

@@ -1,13 +1,14 @@
-(* The serving layer, minus the sockets: wire codec, admission queue, warm
-   cache, and incremental sessions.
+(* The serving layer: framing, admission queue, warm cache, incremental
+   sessions, the batch verb, and an embedded daemon over real sockets.
 
-   Anchor properties: the codec's canonical rendering is a fixpoint of
-   parse∘print; the admission queue admits exactly [capacity] items beyond
-   the consumers and computes its retry hints deterministically; a session
-   re-analysis agrees with a fresh analysis of the same design on every
-   path (warm, rebuilt, fresh). The daemon end-to-end (real sockets, real
-   worker domains) is exercised by test/serve.t and the CI serve-smoke
-   job. *)
+   Anchor properties: frames survive any chunking; the admission queue
+   admits exactly [capacity] items beyond the consumers and computes its
+   retry hints deterministically; a session re-analysis agrees with a fresh
+   analysis of the same design on every path (warm, rebuilt, fresh); the
+   batch verb classifies every job exactly as [ermes batch] does; a
+   hostile frame costs its sender a bad-request, not the daemon its other
+   connections. test/serve.t and the CI serve-smoke job drive the CLI
+   daemon end to end. *)
 
 module System = Ermes_slm.System
 module Soc_format = Ermes_slm.Soc_format
@@ -16,100 +17,23 @@ module Ratio = Ermes_tmg.Ratio
 module Incremental = Ermes_core.Incremental
 module Supervise = Ermes_runtime.Supervise
 module Cancel = Supervise.Cancel
+module Json = Ermes_json.Json
 module Proto = Ermes_serve.Proto
 module Admission = Ermes_serve.Admission
 module Cache = Ermes_serve.Cache
 module Session = Ermes_serve.Session
 module Server = Ermes_serve.Server
+module Handler = Ermes_serve.Handler
+module Batch = Ermes_runtime.Batch
 
 let contains = Astring_contains.contains
 
-(* ---- JSON codec ----------------------------------------------------------- *)
-
-(* A bounded random JSON document. Strings draw from printables plus the
-   characters the escaper must handle; floats stay finite. *)
-let json_gen =
-  QCheck2.Gen.(
-    let str_g =
-      map
-        (fun cs -> String.concat "" cs)
-        (list_size (int_range 0 12)
-           (oneofl [ "a"; "\""; "\\"; "\n"; "\t"; "/"; "é"; " "; "{"; "0" ]))
-    in
-    let scalar =
-      oneof
-        [
-          return Proto.Null;
-          map (fun b -> Proto.Bool b) bool;
-          map (fun i -> Proto.Int i) (int_range (-1_000_000) 1_000_000);
-          map (fun f -> Proto.Float f) (float_range (-1e9) 1e9);
-          map (fun s -> Proto.Str s) str_g;
-        ]
-    in
-    let rec doc depth =
-      if depth = 0 then scalar
-      else
-        oneof
-          [
-            scalar;
-            map (fun xs -> Proto.Arr xs) (list_size (int_range 0 4) (doc (depth - 1)));
-            map
-              (fun kvs -> Proto.Obj kvs)
-              (list_size (int_range 0 4) (pair str_g (doc (depth - 1))));
-          ]
-    in
-    doc 3)
-
-(* Canonical rendering is a fixpoint: parse it back, print again, get the
-   same bytes. (Structural equality would be too strong for floats — the
-   fixpoint is the actual contract the cache and the tests rely on.) *)
-let prop_codec_fixpoint j =
-  let s = Proto.to_string j in
-  match Proto.of_string s with
-  | Error e -> QCheck2.Test.fail_reportf "reparse failed on %s: %s" s e
-  | Ok j' -> String.equal s (Proto.to_string j')
-
-let test_codec_fixpoint =
-  Helpers.qtest ~count:500 "to_string is a parse fixpoint" json_gen
-    prop_codec_fixpoint
-
-(* Non-float documents round-trip structurally, not just textually. *)
-let rec no_floats = function
-  | Proto.Float _ -> false
-  | Proto.Arr xs -> List.for_all no_floats xs
-  | Proto.Obj kvs -> List.for_all (fun (_, v) -> no_floats v) kvs
-  | _ -> true
-
-let prop_codec_structural j =
-  QCheck2.assume (no_floats j);
-  match Proto.of_string (Proto.to_string j) with
-  | Ok j' -> j = j'
-  | Error e -> QCheck2.Test.fail_reportf "reparse failed: %s" e
-
-let test_codec_structural =
-  Helpers.qtest ~count:500 "non-float documents round-trip structurally"
-    json_gen prop_codec_structural
-
-let test_codec_rejects_nonfinite () =
-  List.iter
-    (fun f ->
-      match Proto.to_string (Proto.Float f) with
-      | exception Invalid_argument _ -> ()
-      | s -> Alcotest.failf "rendered non-finite float as %s" s)
-    [ Float.nan; Float.infinity; Float.neg_infinity ]
-
-let test_codec_parse_errors () =
-  List.iter
-    (fun s ->
-      match Proto.of_string s with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "accepted %S" s)
-    [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{'a':1}" ]
+(* ---- framing ------------------------------------------------------------- *)
 
 (* Frames fed to the decoder in arbitrary chunk sizes come back whole and
    in order. *)
 let prop_decoder_chunking (payloads, cuts) =
-  let payloads = List.map Proto.to_string payloads in
+  let payloads = List.map Json.to_string payloads in
   let stream = String.concat "" (List.map Proto.frame payloads) in
   let dec = Proto.decoder () in
   let out = ref [] in
@@ -146,7 +70,7 @@ let test_decoder_chunking =
   Helpers.qtest ~count:300 "decoder reassembles frames across any chunking"
     QCheck2.Gen.(
       pair
-        (list_size (int_range 0 5) json_gen)
+        (list_size (int_range 0 5) Helpers.json_gen)
         (list_size (int_range 1 40) (int_range 1 64)))
     prop_decoder_chunking
 
@@ -504,105 +428,200 @@ let test_proto_pending () =
   | Ok _ -> Alcotest.fail "bad prefix not poisoned");
   Alcotest.(check bool) "poisoned is not pending" false (Proto.pending d)
 
-(* The daemon end to end, embedded via [?stop]: a slow-loris connection
-   holding a half-frame open is answered bad-request and closed within the
-   frame deadline — long before the idle reaper — while a well-behaved
-   connection on the same daemon keeps being served. *)
-let test_frame_deadline_end_to_end () =
+(* ---- batch verb ------------------------------------------------------------- *)
+
+(* Every shipped design, plus the motivating example with an isolated
+   process (a design that parses but does not validate), under each action:
+   the daemon's [batch] verb reports the (status, category, detail) that
+   [ermes batch] reports for the same design as a file. *)
+let test_batch_verb_matches_cli () =
+  let data = "../data" in
+  let files =
+    Sys.readdir data |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".soc")
+    |> List.sort compare
+    |> List.map (Filename.concat data)
+  in
+  Alcotest.(check bool) "shipped designs found" true (List.length files >= 5);
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let disconnected = Filename.temp_file "ermes_disconnected" ".soc" in
+  Out_channel.with_open_bin disconnected (fun oc ->
+      output_string oc
+        (read (Filename.concat data "motivating.soc")
+        ^ "process Pz impl only latency 1 area 0.01\n"));
+  let rounds = 64 in
+  let deps =
+    {
+      Handler.cache = Cache.create ~capacity:8;
+      sessions = Session.create_table ~clock:Unix.gettimeofday ();
+      rounds;
+    }
+  in
+  Fun.protect ~finally:(fun () -> Sys.remove disconnected) @@ fun () ->
+  List.iter
+    (fun file ->
+      List.iter
+        (fun action ->
+          let name = Batch.action_name action in
+          let where = Printf.sprintf "%s %s" (Filename.basename file) name in
+          let cli =
+            let report = Batch.run ~jobs:1 ~rounds [ Batch.job_of_file ~action file ] in
+            match report.Batch.results with
+            | [ { Batch.status = st; _ } ] ->
+              let category =
+                match st with Batch.Job_failed { category; _ } -> Some category | _ -> None
+              in
+              (Batch.status_name st, category, Batch.status_detail st)
+            | _ -> Alcotest.fail "one job in, one result out"
+          in
+          let job = Json.Obj [ ("design", Json.Str (read file)); ("action", Json.Str name) ] in
+          let body =
+            Json.Obj
+              [ ("id", Json.Int 1); ("verb", Json.Str "batch"); ("jobs", Json.Arr [ job ]) ]
+          in
+          let reply =
+            Handler.execute deps ~cancel:(Cancel.make ()) ~attempts:(ref 0) ~client:"t"
+              { Proto.id = 1; verb = "batch"; body }
+          in
+          let daemon =
+            match Json.member "jobs" reply with
+            | Some (Json.Arr [ item ]) ->
+              ( Option.value ~default:"?" (Json.str_member "status" item),
+                Json.str_member "category" item,
+                Option.value ~default:"?" (Json.str_member "detail" item) )
+            | _ -> Alcotest.failf "%s: no job item in %s" where (Json.to_string reply)
+          in
+          Alcotest.(check (triple string (option string) string)) where cli daemon)
+        [ Batch.Analyze; Batch.Lint; Batch.Simulate ])
+    (files @ [ disconnected ])
+
+(* ---- the daemon end to end ------------------------------------------------ *)
+
+(* A one-worker daemon embedded via [?stop] on a fresh socket for the
+   duration of [f socket]. *)
+let with_daemon ?(frame_deadline_s = 0.5) f =
   let dir = Filename.temp_file "ermes_serve" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let socket = Filename.concat dir "s.sock" in
   let stop = Atomic.make false in
   let cfg =
-    {
-      (Server.default_config ~socket) with
-      Server.workers = 1;
-      frame_deadline_s = 0.5;
-    }
+    { (Server.default_config ~socket) with Server.workers = 1; frame_deadline_s }
   in
   let dom = Domain.spawn (fun () -> Server.run ~stop cfg) in
-  let rec connect tries =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | () ->
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
-      fd
-    | exception Unix.Unix_error _ when tries > 0 ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Unix.sleepf 0.05;
-      connect (tries - 1)
-  in
-  let send fd payload =
-    let s = Proto.frame payload in
-    let rec go off =
-      if off < String.length s then
-        go (off + Unix.write_substring fd s off (String.length s - off))
-    in
-    go 0
-  in
-  let buf = Bytes.create 4096 in
-  let recv fd dec =
-    let rec go () =
-      match Proto.next dec with
-      | Ok (Some p) -> p
-      | Error e -> Alcotest.failf "bad frame from daemon: %s" e
-      | Ok None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> Alcotest.fail "connection closed before a reply"
-        | n ->
-          Proto.feed dec buf n;
-          go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-    in
-    go ()
-  in
-  let status payload =
-    match Proto.of_string payload with
-    | Ok j -> Proto.str_member "status" j
-    | Error e -> Alcotest.failf "unparseable reply: %s" e
-  in
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
       ignore (Domain.join dom : (unit, string) result);
       (try Sys.remove socket with Sys_error _ -> ());
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () ->
-      let loris = connect 100 in
-      let half = "64\n{\"half" in
-      ignore (Unix.write_substring loris half 0 (String.length half));
-      let good = connect 5 in
-      let gdec = Proto.decoder () in
-      send good (Proto.to_string (Proto.hello_request ~client:"t"));
-      Alcotest.(check (option string)) "hello ok" (Some "ok")
-        (status (recv good gdec));
-      let ldec = Proto.decoder () in
-      let reply = recv loris ldec in
-      Alcotest.(check (option string)) "loris cut with bad-request"
-        (Some "bad-request") (status reply);
-      (match Proto.of_string reply with
-      | Ok j ->
-        Alcotest.(check bool) "names the frame deadline" true
-          (match Proto.str_member "error" j with
-          | Some e -> contains e "frame"
-          | None -> false)
-      | Error e -> Alcotest.fail e);
-      (let rec eof () =
-         match Unix.read loris buf 0 (Bytes.length buf) with
-         | 0 -> ()
-         | _ -> eof ()
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> eof ()
-         | exception Unix.Unix_error _ -> ()
-       in
-       eof ());
-      send good
-        (Proto.to_string
-           (Proto.Obj [ ("id", Proto.Int 1); ("verb", Proto.Str "ping") ]));
-      Alcotest.(check (option string)) "good client still served" (Some "ok")
-        (status (recv good gdec));
-      (try Unix.close loris with Unix.Unix_error _ -> ());
-      try Unix.close good with Unix.Unix_error _ -> ())
+    (fun () -> f socket)
+
+let rec connect socket tries =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX socket) with
+  | () ->
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
+    fd
+  | exception Unix.Unix_error _ when tries > 0 ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Unix.sleepf 0.05;
+    connect socket (tries - 1)
+
+let send_raw fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let send fd payload = send_raw fd (Proto.frame payload)
+
+let buf = Bytes.create 4096
+
+let recv fd dec =
+  let rec go () =
+    match Proto.next dec with
+    | Ok (Some p) -> p
+    | Error e -> Alcotest.failf "bad frame from daemon: %s" e
+    | Ok None -> (
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 -> Alcotest.fail "connection closed before a reply"
+      | n ->
+        Proto.feed dec buf n;
+        go ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
+  in
+  go ()
+
+let status payload =
+  match Json.of_string payload with
+  | Ok j -> Json.str_member "status" j
+  | Error e -> Alcotest.failf "unparseable reply: %s" e
+
+let ping = Json.to_string (Json.Obj [ ("id", Json.Int 1); ("verb", Json.Str "ping") ])
+
+(* A slow-loris connection holding a half-frame open is answered
+   bad-request and closed within the frame deadline — long before the idle
+   reaper — while a well-behaved connection on the same daemon keeps being
+   served. *)
+let test_frame_deadline_end_to_end () =
+  with_daemon @@ fun socket ->
+  let loris = connect socket 100 in
+  send_raw loris "64\n{\"half";
+  let good = connect socket 5 in
+  let gdec = Proto.decoder () in
+  send good (Json.to_string (Proto.hello_request ~client:"t"));
+  Alcotest.(check (option string)) "hello ok" (Some "ok") (status (recv good gdec));
+  let ldec = Proto.decoder () in
+  let reply = recv loris ldec in
+  Alcotest.(check (option string)) "loris cut with bad-request" (Some "bad-request")
+    (status reply);
+  (match Json.of_string reply with
+  | Ok j ->
+    Alcotest.(check bool) "names the frame deadline" true
+      (match Json.str_member "error" j with Some e -> contains e "frame" | None -> false)
+  | Error e -> Alcotest.fail e);
+  (let rec eof () =
+     match Unix.read loris buf 0 (Bytes.length buf) with
+     | 0 -> ()
+     | _ -> eof ()
+     | exception Unix.Unix_error (Unix.EINTR, _, _) -> eof ()
+     | exception Unix.Unix_error _ -> ()
+   in
+   eof ());
+  send good ping;
+  Alcotest.(check (option string)) "good client still served" (Some "ok")
+    (status (recv good gdec));
+  (try Unix.close loris with Unix.Unix_error _ -> ());
+  try Unix.close good with Unix.Unix_error _ -> ()
+
+(* A frame nested one level past [Json.max_depth], and a megabyte of ['['],
+   are each answered bad-request on a connection the daemon keeps serving:
+   it answers [ping] next. *)
+let test_deep_frame_end_to_end () =
+  with_daemon ~frame_deadline_s:10. @@ fun socket ->
+  let fd = connect socket 100 in
+  let dec = Proto.decoder () in
+  send fd (Json.to_string (Proto.hello_request ~client:"t"));
+  Alcotest.(check (option string)) "hello ok" (Some "ok") (status (recv fd dec));
+  let over = Json.max_depth + 1 in
+  List.iter
+    (fun (what, payload) ->
+      send fd payload;
+      let reply = recv fd dec in
+      Alcotest.(check (option string)) (what ^ " is bad-request") (Some "bad-request")
+        (status reply);
+      Alcotest.(check bool) (what ^ " reply names the nesting bound") true
+        (contains reply "nesting");
+      send fd ping;
+      Alcotest.(check (option string)) ("ping after " ^ what) (Some "ok")
+        (status (recv fd dec)))
+    [
+      ("max_depth + 1", String.make over '[' ^ String.make over ']');
+      ("a megabyte of '['", String.make 1_000_000 '[');
+    ];
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ---- registration ---------------------------------------------------------- *)
 
@@ -611,11 +630,6 @@ let () =
     [
       ( "proto",
         [
-          test_codec_fixpoint;
-          test_codec_structural;
-          Alcotest.test_case "rejects non-finite floats" `Quick
-            test_codec_rejects_nonfinite;
-          Alcotest.test_case "parse errors" `Quick test_codec_parse_errors;
           test_decoder_chunking;
           Alcotest.test_case "poisons on bad prefix" `Quick
             test_decoder_poisons_on_bad_prefix;
@@ -659,5 +673,12 @@ let () =
           Alcotest.test_case "Proto.pending" `Quick test_proto_pending;
           Alcotest.test_case "slow-loris cut, good client served" `Quick
             test_frame_deadline_end_to_end;
+        ] );
+      ( "daemon",
+        [
+          Alcotest.test_case "over-deep frame is bad-request, daemon serves on" `Quick
+            test_deep_frame_end_to_end;
+          Alcotest.test_case "batch verb classifies as ermes batch" `Quick
+            test_batch_verb_matches_cli;
         ] );
     ]

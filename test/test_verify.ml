@@ -21,6 +21,7 @@ module Perf = Ermes_core.Perf
 module Incremental = Ermes_core.Incremental
 module Verify = Ermes_verify.Verify
 module Lint = Ermes_verify.Lint
+module Json = Ermes_json.Json
 
 let accepted tmg cert =
   match Verify.check tmg cert with
@@ -268,7 +269,7 @@ let test_lint_json_roundtrip () =
       match Lint.lint_string ~file:"case.soc" text with
       | Error _ -> () (* invalid-input cases carry no report to round-trip *)
       | Ok r -> (
-        match Lint.of_json (Lint.to_json r) with
+        match Lint.of_json (Json.to_string (Lint.to_json r)) with
         | Ok r' -> Alcotest.(check bool) "roundtrip" true (r = r')
         | Error e -> Alcotest.fail ("of_json: " ^ e)))
     [
@@ -288,7 +289,7 @@ let test_lint_json_roundtrip () =
 let prop_lint_json_roundtrip sys =
   match Lint.lint_string (Ermes_slm.Soc_format.print sys) with
   | Error _ -> true
-  | Ok r -> Lint.of_json (Lint.to_json r) = Ok r
+  | Ok r -> Lint.of_json (Json.to_string (Lint.to_json r)) = Ok r
 
 (* Lint's W201/W202 probes re-solve one warm CSR solver after each
    To_tmg.rethread. Every reported improvement must match a fresh analysis
