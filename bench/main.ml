@@ -1271,7 +1271,7 @@ let () =
      behavioural change (more rebuilds, fewer warm solves) from the same
      artifact. *)
   Ermes_obs.Obs.set_clock Unix.gettimeofday;
-  Ermes_obs.Obs.enable ();
+  Ermes_obs.Obs.enable ~retain:0 ();
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun (name, f) ->

@@ -888,7 +888,7 @@ let profile_cmd =
     (* --trace may already have installed a sink; otherwise record locally so
        the summary has something to print. *)
     Obs.set_clock Unix.gettimeofday;
-    if not (Obs.enabled ()) then Obs.enable ();
+    if not (Obs.enabled ()) then Obs.enable ~retain:0 ();
     let sys = or_die (load file) in
     let session = Incremental.create sys in
     let code = ref 0 in

@@ -6,17 +6,23 @@
 
 type event = { ev_name : string; tid : int; t0 : float; t1 : float }
 
+(* Per-name span aggregate, updated in place as each span closes, so a
+   snapshot costs O(span names) however long the sink has been recording. *)
+type agg = { mutable n : int; mutable total : float; mutable longest : float }
+
 type sink = {
   lock : Mutex.t;
   counters : (string, int) Hashtbl.t;
+  spans : (string, agg) Hashtbl.t;
+  retain : int; (* individual events kept for [chrome_trace] *)
   mutable events : event list; (* newest first *)
   mutable n_events : int;
   epoch : float;
 }
 
 (* Keep pathological runs (a fuzzer spinning for hours) from eating the
-   heap: past the cap we keep counting spans in [span_stats] via the
-   aggregate table but stop retaining individual events. *)
+   heap: past [retain] events the aggregate table keeps counting spans but
+   individual events are no longer kept. *)
 let max_events = 1_000_000
 
 let clock = ref Sys.time
@@ -30,12 +36,14 @@ let sink : sink option Atomic.t = Atomic.make None
 
 let enabled () = Option.is_some (Atomic.get sink)
 
-let enable () =
+let enable ?(retain = max_events) () =
   Atomic.set sink
     (Some
        {
          lock = Mutex.create ();
          counters = Hashtbl.create 64;
+         spans = Hashtbl.create 16;
+         retain;
          events = [];
          n_events = 0;
          epoch = !clock ();
@@ -68,10 +76,17 @@ let counters () =
     locked s (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.counters [])
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let record s ev =
+let record s name t0 t1 =
+  let d = t1 -. t0 in
   locked s (fun () ->
-      if s.n_events < max_events then begin
-        s.events <- ev :: s.events;
+      (match Hashtbl.find_opt s.spans name with
+      | Some a ->
+        a.n <- a.n + 1;
+        a.total <- a.total +. d;
+        a.longest <- Float.max a.longest d
+      | None -> Hashtbl.replace s.spans name { n = 1; total = d; longest = d });
+      if s.n_events < s.retain then begin
+        s.events <- { ev_name = name; tid = (Domain.self () :> int); t0; t1 } :: s.events;
         s.n_events <- s.n_events + 1
       end)
 
@@ -80,46 +95,30 @@ let span name f =
   | None -> f ()
   | Some s ->
     let t0 = !clock () in
-    Fun.protect
-      ~finally:(fun () ->
-        record s { ev_name = name; tid = (Domain.self () :> int); t0; t1 = !clock () })
-      f
+    Fun.protect ~finally:(fun () -> record s name t0 (!clock ())) f
 
 type span_stat = { span_name : string; calls : int; total_s : float; max_s : float }
 
 type snapshot = { snap_counters : (string * int) list; snap_spans : span_stat list }
 
-let aggregate_events events =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun ev ->
-      let d = ev.t1 -. ev.t0 in
-      match Hashtbl.find_opt tbl ev.ev_name with
-      | None -> Hashtbl.replace tbl ev.ev_name (1, d, d)
-      | Some (calls, total, mx) ->
-        Hashtbl.replace tbl ev.ev_name (calls + 1, total +. d, Float.max mx d))
-    events;
-  Hashtbl.fold
-    (fun span_name (calls, total_s, max_s) acc ->
-      { span_name; calls; total_s; max_s } :: acc)
-    tbl []
-  |> List.sort (fun a b -> String.compare a.span_name b.span_name)
-
-(* Counters and events are captured under one lock acquisition, so the two
-   halves agree with each other even while worker domains keep recording:
-   every event present is counted, none is half-applied. Aggregation happens
-   after the lock is released (the events list is immutable). *)
+(* Counters and span aggregates are captured under one lock acquisition, so
+   the two halves agree with each other even while worker domains keep
+   recording: every closed span is counted, none is half-applied. *)
 let snapshot () =
   match Atomic.get sink with
   | None -> { snap_counters = []; snap_spans = [] }
   | Some s ->
-    let cs, events =
+    let cs, spans =
       locked s (fun () ->
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.counters [], s.events))
+          ( Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.counters [],
+            Hashtbl.fold
+              (fun span_name a acc ->
+                { span_name; calls = a.n; total_s = a.total; max_s = a.longest } :: acc)
+              s.spans [] ))
     in
     {
       snap_counters = List.sort (fun (a, _) (b, _) -> String.compare a b) cs;
-      snap_spans = aggregate_events events;
+      snap_spans = List.sort (fun a b -> String.compare a.span_name b.span_name) spans;
     }
 
 let span_stats () = (snapshot ()).snap_spans

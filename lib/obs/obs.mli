@@ -24,8 +24,16 @@ val set_clock : (unit -> float) -> unit
     [Sys.time] — CPU time, which keeps the library stdlib-only; front-ends
     that want wall-clock traces install [Unix.gettimeofday]. *)
 
-val enable : unit -> unit
-(** Install a fresh sink (discarding any previously collected data). *)
+val max_events : int
+(** Default bound on the individual span events a sink keeps (10{^ 6}). *)
+
+val enable : ?retain:int -> unit -> unit
+(** Install a fresh sink (discarding any previously collected data).
+    Every span updates its name's aggregate in {!span_stats}; the first
+    [retain] (default {!max_events}) are also kept one by one for
+    {!chrome_trace}. A long-lived process that never exports a trace (the
+    daemon, which reads only aggregates) passes [~retain:0], so its heap
+    does not grow with the number of requests served. *)
 
 val disable : unit -> unit
 (** Remove the sink; subsequent events cost one branch and record nothing. *)
@@ -61,7 +69,8 @@ type span_stat = {
 }
 
 val span_stats : unit -> span_stat list
-(** Aggregated per-name statistics, sorted by name. *)
+(** Aggregated per-name statistics, sorted by name. They count every span
+    closed since {!enable}, retained as an event or not. *)
 
 (** {1 Snapshots}
 
@@ -80,7 +89,8 @@ val snapshot : unit -> snapshot
 (** A consistent view of all counters and span aggregates: both halves are
     read under one lock acquisition, so concurrent writers can never be
     half-reflected. Empty when disabled. Safe to call from any domain at any
-    rate; cost is O(events) for the span aggregation. *)
+    rate; cost is O(counters + span names), since spans are aggregated as
+    they close. *)
 
 (** {1 Exporters} *)
 
@@ -90,7 +100,7 @@ val summary : unit -> string
 
 val chrome_trace : unit -> string
 (** The collected data as Chrome trace-event JSON: one ["X"] (complete)
-    event per span occurrence, with microsecond timestamps relative to
+    event per retained span occurrence, with microsecond timestamps relative to
     [enable] time and the recording domain as [tid], plus one ["C"]
     (counter) event per counter holding its final value. *)
 

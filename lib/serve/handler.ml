@@ -139,16 +139,19 @@ let session_reply ~id ~verb ~name (o : Session.outcome) =
 
 let invalid ~id ~verb msg = error_reply ~id ~verb ~status:"invalid" msg
 
-(* One-shot certified analysis through the warm cache. *)
-let analyze_cold deps ~cancel ~id sys =
+let cached_reply ~id key (status, fields) =
+  Obs.incr "serve.cache_hits";
+  reply ~id ~verb:"analyze" status
+    ~extra:(fields @ [ ("design_hash", Str key); ("cached", Bool true) ])
+
+(* One-shot certified analysis through the warm cache. [raw] is the digest
+   of the request's design bytes, recorded as the entry's alias. *)
+let analyze_cold deps ~cancel ~id ~raw sys =
   let canonical = Soc_format.print sys in
   let key = Cache.key_of_canonical canonical in
   Cancel.check cancel;
-  match Cache.find deps.cache key with
-  | Some (status, fields) ->
-    Obs.incr "serve.cache_hits";
-    reply ~id ~verb:"analyze" status
-      ~extra:(fields @ [ ("design_hash", Str key); ("cached", Bool true) ])
+  match Cache.find deps.cache ~raw key with
+  | Some v -> cached_reply ~id key v
   | None ->
     Obs.incr "serve.cache_misses";
     let mapping = To_tmg.build sys in
@@ -165,20 +168,31 @@ let analyze_cold deps ~cancel ~id sys =
     let fields = fields @ certificate_fields cert checked in
     (* Only proof-carrying verdicts are worth replaying; a rejected
        certificate signals an analysis bug and must be recomputed loudly. *)
-    if Result.is_ok checked then Cache.add deps.cache key (status, fields);
+    if Result.is_ok checked then Cache.add deps.cache ~raw key (status, fields);
     reply ~id ~verb:"analyze" status
       ~extra:(fields @ [ ("design_hash", Str key); ("cached", Bool false) ])
 
 let analyze deps ~cancel ~client req =
   let id = req.id in
-  match (parse_design req.body, str_member "session" req.body) with
-  | Error e, _ -> invalid ~id ~verb:"analyze" e
-  | Ok sys, None -> analyze_cold deps ~cancel ~id sys
-  | Ok sys, Some name -> (
-    Cancel.check cancel;
-    match Session.reanalyze deps.sessions ~client ~name sys with
-    | Error e -> invalid ~id ~verb:"analyze" e
-    | Ok outcome -> session_reply ~id ~verb:"analyze" ~name outcome)
+  let load text k =
+    match Batch.load text with Error e -> invalid ~id ~verb:"analyze" e | Ok sys -> k sys
+  in
+  match (str_member "design" req.body, str_member "session" req.body) with
+  | None, _ -> invalid ~id ~verb:"analyze" "missing \"design\" field"
+  | Some text, None -> (
+    (* A byte-identical re-send is answered from the digest of its bytes,
+       before any parsing. Only texts that parsed, validated and earned a
+       checked verdict are ever aliased, so anything else falls through. *)
+    let raw = Digest.string text in
+    match Cache.find_raw deps.cache raw with
+    | Some (key, v) -> cached_reply ~id key v
+    | None -> load text (analyze_cold deps ~cancel ~id ~raw))
+  | Some text, Some name ->
+    load text (fun sys ->
+        Cancel.check cancel;
+        match Session.reanalyze deps.sessions ~client ~name sys with
+        | Error e -> invalid ~id ~verb:"analyze" e
+        | Ok outcome -> session_reply ~id ~verb:"analyze" ~name outcome)
 
 let session_open deps ~cancel ~client req =
   let id = req.id in

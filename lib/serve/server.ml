@@ -283,6 +283,7 @@ let metrics_fields srv ~connections =
           ("size", Int cs.Cache.size);
           ("capacity", Int cs.Cache.capacity);
           ("hits", Int cs.Cache.hits);
+          ("raw_hits", Int cs.Cache.raw_hits);
           ("misses", Int cs.Cache.misses);
           ("evictions", Int cs.Cache.evictions);
         ] );
@@ -732,7 +733,9 @@ let run ?stop cfg =
   else if cfg.queue_capacity < 0 then Error "serve: negative queue capacity"
   else begin
     Obs.set_clock Unix.gettimeofday;
-    if not (Obs.enabled ()) then Obs.enable ();
+    (* [metrics] reads only aggregates: keeping span events would grow the
+       heap with every request served. *)
+    if not (Obs.enabled ()) then Obs.enable ~retain:0 ();
     register_counters ();
     match
       let unix_fd = listen_unix cfg.socket in

@@ -142,7 +142,10 @@ let test_on_equals_off () =
   in
   let off = everything () in
   let on = with_obs everything in
-  Alcotest.(check string) "tracing changes nothing" off on
+  Alcotest.(check string) "tracing changes nothing" off on;
+  Obs.enable ~retain:0 ();
+  let aggregates_only = Fun.protect ~finally:Obs.disable everything in
+  Alcotest.(check string) "aggregate-only tracing changes nothing" off aggregates_only
 
 (* ---- spans and exporters ------------------------------------------------ *)
 
@@ -172,6 +175,47 @@ let test_chrome_trace_shape () =
   Alcotest.(check bool) "counter value serialized" true (contains "{\"value\":3}");
   Alcotest.(check bool) "span name escaped" true (contains "my \\\"span\\\"");
   Alcotest.(check bool) "no raw quote" false (contains "my \"span\"")
+
+(* Occurrences of "ph":"X" (one per exported span event). *)
+let x_events json =
+  let needle = "\"ph\":\"X\"" in
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length json then acc
+    else if String.sub json i n = needle then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* Aggregates are updated as each span closes, so spans past the retention
+   bound keep counting; a daemon, which retains none, sees every span. *)
+let test_spans_count_past_retention () =
+  Obs.set_clock (fun () -> 0.);
+  Obs.enable ~retain:0 ();
+  Fun.protect ~finally:(fun () -> Obs.disable (); Obs.set_clock Sys.time) @@ fun () ->
+  let k = 3 in
+  for _ = 1 to Obs.max_events + k do
+    Obs.span "s" ignore
+  done;
+  (match Obs.span_stats () with
+   | [ s ] -> Alcotest.(check int) "every span counted" (Obs.max_events + k) s.Obs.calls
+   | _ -> Alcotest.fail "expected one span name");
+  Alcotest.(check int) "no events retained" 0 (x_events (Obs.chrome_trace ()))
+
+let test_retention_bound () =
+  Obs.enable ~retain:4 ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  for _ = 1 to 7 do
+    Obs.span "s" ignore
+  done;
+  Alcotest.(check int) "calls" 7 (List.hd (Obs.span_stats ())).Obs.calls;
+  Alcotest.(check int) "trace keeps the first 4" 4 (x_events (Obs.chrome_trace ()));
+  (* Under the default bound every event is exported. *)
+  Obs.enable ();
+  for _ = 1 to 5 do
+    Obs.span "s" ignore
+  done;
+  Alcotest.(check int) "trace holds every event" 5 (x_events (Obs.chrome_trace ()))
 
 let test_summary_shape () =
   with_obs @@ fun () ->
@@ -274,6 +318,9 @@ let () =
         [
           Alcotest.test_case "span stats" `Quick test_span_stats;
           Alcotest.test_case "chrome trace shape" `Quick test_chrome_trace_shape;
+          Alcotest.test_case "spans count past max_events" `Quick
+            test_spans_count_past_retention;
+          Alcotest.test_case "retention bound" `Quick test_retention_bound;
           Alcotest.test_case "summary shape" `Quick test_summary_shape;
         ] );
       ( "sim-profile",

@@ -250,6 +250,127 @@ let test_cache_key_is_content_hash () =
   Alcotest.(check string) "same text, same key" k1 k2;
   Alcotest.(check bool) "different text, different key" true (k1 <> k3)
 
+(* Raw aliases: a digest of a request's exact bytes names the entry its
+   canonical key reached, one alias per entry, evicted with it. *)
+let test_cache_raw_alias () =
+  let c = Cache.create ~capacity:2 in
+  let ra = Digest.string "a text" and ra' = Digest.string "a reformatted" in
+  Alcotest.(check bool) "unknown bytes" true (Cache.find_raw c ra = None);
+  Cache.add c ~raw:ra "A" 1;
+  Alcotest.(check bool) "alias hit" true (Cache.find_raw c ra = Some ("A", 1));
+  Alcotest.(check bool) "canonical hit moves the alias" true (Cache.find c ~raw:ra' "A" = Some 1);
+  Alcotest.(check bool) "old bytes forgotten" true (Cache.find_raw c ra = None);
+  Alcotest.(check bool) "new bytes known" true (Cache.find_raw c ra' = Some ("A", 1));
+  Alcotest.(check bool) "raw digests are not keys" true
+    (Cache.find c (Digest.to_hex ra') = None);
+  Cache.add c ~raw:(Digest.string "b") "B" 2;
+  Cache.add c ~raw:(Digest.string "c") "C" 3;
+  let s = Cache.stats c in
+  Alcotest.(check bool) "A evicted with its alias" true (Cache.find_raw c ra' = None);
+  Alcotest.(check int) "aliases bounded by entries" 2 s.Cache.aliases;
+  Alcotest.(check int) "hits" 3 s.Cache.hits;
+  Alcotest.(check int) "raw hits" 2 s.Cache.raw_hits;
+  Alcotest.(check int) "raw misses count nothing" 1 s.Cache.misses
+
+(* ---- analyze through the cache ------------------------------------------- *)
+
+let read_data f = In_channel.with_open_bin (Filename.concat "../data" f) In_channel.input_all
+
+let cache_deps capacity =
+  {
+    Handler.cache = Cache.create ~capacity;
+    sessions = Session.create_table ~clock:Unix.gettimeofday ();
+    rounds = 64;
+  }
+
+let call deps verb fields =
+  let body = Json.Obj ([ ("id", Json.Int 1); ("verb", Json.Str verb) ] @ fields) in
+  Handler.execute deps ~cancel:(Cancel.make ()) ~attempts:(ref 0) ~client:"t"
+    { Proto.id = 1; verb; body }
+
+let analyze ?session deps text =
+  call deps "analyze"
+    (("design", Json.Str text)
+    :: Option.fold ~none:[] ~some:(fun n -> [ ("session", Json.Str n) ]) session)
+
+let check_counts deps what ~hits ~raw_hits ~misses =
+  let s = Cache.stats deps.Handler.cache in
+  Alcotest.(check (triple int int int))
+    (what ^ ": hits, raw hits, misses")
+    (hits, raw_hits, misses)
+    (s.Cache.hits, s.Cache.raw_hits, s.Cache.misses)
+
+(* The hit reply is the cold reply with [cached] flipped: whichever path
+   finds the entry, the bytes are the same. *)
+let as_hit cold =
+  match cold with
+  | Json.Obj fields ->
+    Json.to_string
+      (Json.Obj
+         (List.map
+            (function "cached", _ -> ("cached", Json.Bool true) | f -> f)
+            fields))
+  | _ -> Alcotest.fail "reply is not an object"
+
+let test_analyze_raw_and_reformatted () =
+  let deps = cache_deps 8 in
+  let text = read_data "motivating.soc" in
+  let reformatted =
+    "# the same design, reformatted\n\n"
+    ^ String.concat "   " (String.split_on_char ' ' text)
+    ^ "\n# trailing comment\n"
+  in
+  let cold = analyze deps text in
+  Alcotest.(check (option bool)) "cold" (Some false) (Json.bool_member "cached" cold);
+  check_counts deps "cold" ~hits:0 ~raw_hits:0 ~misses:1;
+  let hit = as_hit cold in
+  Alcotest.(check string) "byte-identical re-send" hit (Json.to_string (analyze deps text));
+  check_counts deps "re-send" ~hits:1 ~raw_hits:1 ~misses:1;
+  Alcotest.(check string) "reformatted copy" hit (Json.to_string (analyze deps reformatted));
+  check_counts deps "reformatted" ~hits:2 ~raw_hits:1 ~misses:1;
+  Alcotest.(check string) "reformatted re-send" hit
+    (Json.to_string (analyze deps reformatted));
+  check_counts deps "reformatted re-send" ~hits:3 ~raw_hits:2 ~misses:1;
+  Alcotest.(check int) "one entry, one alias" 1 (Cache.stats deps.Handler.cache).Cache.aliases
+
+let test_analyze_raw_after_eviction () =
+  let deps = cache_deps 1 in
+  let a = read_data "motivating.soc" and b = read_data "motivating_suboptimal.soc" in
+  let cached r = Json.bool_member "cached" r in
+  let first = analyze deps a in
+  ignore (analyze deps b);
+  let s = Cache.stats deps.Handler.cache in
+  Alcotest.(check (pair int int)) "a evicted with its alias" (1, 1)
+    (s.Cache.evictions, s.Cache.aliases);
+  let again = analyze deps a in
+  Alcotest.(check (option bool)) "re-sent bytes recompute" (Some false) (cached again);
+  Alcotest.(check string) "same verdict" (Json.to_string first) (Json.to_string again);
+  check_counts deps "one miss" ~hits:0 ~raw_hits:0 ~misses:3;
+  Alcotest.(check (option bool)) "and re-cache" (Some true) (cached (analyze deps a));
+  check_counts deps "then a raw hit" ~hits:1 ~raw_hits:1 ~misses:3
+
+let test_analyze_raw_path_guarded () =
+  let deps = cache_deps 8 in
+  let text = read_data "motivating.soc" in
+  let status r = Option.value ~default:"?" (Json.str_member "status" r) in
+  let unvalidated = text ^ "process Pz impl only latency 1 area 0.01\n" in
+  List.iter
+    (fun (what, bad) ->
+      for _ = 1 to 2 do
+        Alcotest.(check string) what "invalid" (status (analyze deps bad))
+      done)
+    [ ("unparsable", "process only p latency 3\n"); ("non-validating", unvalidated) ];
+  check_counts deps "rejected designs touch no counter" ~hits:0 ~raw_hits:0 ~misses:0;
+  ignore (analyze deps text);
+  ignore (call deps "session-open" [ ("design", Json.Str text); ("session", Json.Str "s") ]);
+  let r = analyze ~session:"s" deps text in
+  Alcotest.(check (option string)) "session reply" (Some "s") (Json.str_member "session" r);
+  Alcotest.(check (option bool)) "not a cache reply" None (Json.bool_member "cached" r);
+  check_counts deps "sessions bypass the cache" ~hits:0 ~raw_hits:0 ~misses:1;
+  Alcotest.(check string) "unknown session is invalid" "invalid"
+    (status (analyze ~session:"nope" deps text));
+  check_counts deps "still untouched" ~hits:0 ~raw_hits:0 ~misses:1
+
 (* ---- sessions ------------------------------------------------------------- *)
 
 (* Deep copy through the canonical text — exactly what the daemon does when
@@ -652,6 +773,13 @@ let () =
           Alcotest.test_case "LRU respects recency" `Quick test_cache_lru_recency;
           Alcotest.test_case "content-hash keys" `Quick
             test_cache_key_is_content_hash;
+          Alcotest.test_case "raw aliases" `Quick test_cache_raw_alias;
+          Alcotest.test_case "analyze: re-send and reformatted copy hit" `Quick
+            test_analyze_raw_and_reformatted;
+          Alcotest.test_case "analyze: raw bytes after eviction" `Quick
+            test_analyze_raw_after_eviction;
+          Alcotest.test_case "analyze: rejected and session requests bypass" `Quick
+            test_analyze_raw_path_guarded;
         ] );
       ( "session",
         [
