@@ -770,33 +770,54 @@ let incremental () =
      domains; the three results must be bit-identical. *)
   let osys = oracle_playground () in
   repro "oracle playground: %.0f order combinations" (System.order_combinations osys);
+  let jobs = [| 1; 2; 4 |] and rounds = 9 in
+  let times = Array.make_matrix (Array.length jobs) rounds 0. in
+  let found = Array.make (Array.length jobs) None in
+  for round = 0 to rounds - 1 do
+    (* Interleave the job counts and rotate which runs first, so a change in
+       host load during the section hits every count alike. *)
+    for k = 0 to Array.length jobs - 1 do
+      let i = (round + k) mod Array.length jobs in
+      let r, t = time (fun () -> Oracle.search ~limit:10_000 ~jobs:jobs.(i) osys) in
+      times.(i).(round) <- t;
+      found.(i) <- r
+    done
+  done;
+  let median xs =
+    let xs = List.sort compare xs in
+    List.nth xs (List.length xs / 2)
+  in
   let results =
-    List.map
-      (fun j ->
-        (* Min of 3 runs smooths the clock for the scaling check below. *)
-        let runs =
-          List.init 3 (fun _ -> time (fun () -> Oracle.search ~limit:10_000 ~jobs:j osys))
-        in
-        let r = Option.get (fst (List.hd runs)) in
-        let t = List.fold_left (fun acc (_, t) -> Float.min acc t) infinity runs in
-        repro "  oracle ~jobs:%d: optimum %s over %d combinations (%d deadlock) in %.2f ms"
+    List.mapi
+      (fun i j ->
+        let r = Option.get found.(i) in
+        let t = median (Array.to_list times.(i)) in
+        repro
+          "  oracle ~jobs:%d: optimum %s over %d combinations (%d deadlock) in %.2f ms \
+           (median of %d)"
           j
           (Ratio.to_string r.Oracle.best_cycle_time)
-          r.Oracle.evaluated r.Oracle.deadlocked (1000. *. t);
+          r.Oracle.evaluated r.Oracle.deadlocked (1000. *. t) rounds;
         metric (Printf.sprintf "incremental.oracle.jobs%d_s" j) t;
-        (j, (r, t)))
-      [ 1; 2; 4 ]
+        (j, r))
+      (Array.to_list jobs)
   in
   (* Extra jobs may buy nothing on a loaded or single-core host, but they
      must never cost more than scheduling noise (the unit tests check the
-     work counters; this is the wall-clock half). *)
-  let t1 = snd (List.assoc 1 results) and t4 = snd (List.assoc 4 results) in
-  metric "incremental.oracle.jobs4_over_jobs1" (t4 /. t1);
-  if t4 > t1 *. 1.2 then
+     work counters; this is the wall-clock half). Each round pairs a jobs:4
+     run with the jobs:1 run next to it in time; the gate reads the median
+     of those paired ratios. *)
+  let ratio =
+    median (List.init rounds (fun round -> times.(2).(round) /. times.(0).(round)))
+  in
+  repro "  jobs:4 / jobs:1, median of %d paired rounds: %.3f" rounds ratio;
+  metric "incremental.oracle.jobs4_over_jobs1" ratio;
+  if ratio > 1.2 then
     failwith
-      (Printf.sprintf "incremental bench: oracle jobs4 (%.4fs) slower than jobs1 (%.4fs) x 1.2"
-         t4 t1);
-  let results = List.map (fun (j, (r, _)) -> (j, r)) results in
+      (Printf.sprintf
+         "incremental bench: oracle jobs4 slower than jobs1 x 1.2 (median paired ratio \
+          %.3f over %d rounds)"
+         ratio rounds);
   let _, r1 = List.hd results in
   List.iter
     (fun (_, r) ->

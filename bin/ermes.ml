@@ -10,6 +10,7 @@ module Soc_format = Ermes_slm.Soc_format
 module Sim = Ermes_slm.Sim
 module To_tmg = Ermes_slm.To_tmg
 module Tmg = Ermes_tmg.Tmg
+module Csr = Ermes_tmg.Csr
 module Ratio = Ermes_tmg.Ratio
 module Perf = Ermes_core.Perf
 module Order = Ermes_core.Order
@@ -163,17 +164,10 @@ let print_analysis sys a =
   Format.printf "%a@." (Perf.pp_analysis sys) a;
   Format.printf "critical cycle: %s@." (String.concat " -> " a.Perf.critical_cycle)
 
-(* --certify re-derives the verdict with a proof object and runs it through
-   the independent checker; any rejection is an analysis bug and exits 2. *)
-let certify_system sys =
-  let mapping = To_tmg.build sys in
-  let tmg = mapping.To_tmg.tmg in
-  let module Csr = Ermes_tmg.Csr in
-  (* Solve and assemble on the CSR core; check against a *fresh* freeze so
-     the checker never reads the solver's internal state. *)
-  let cert = Verify.of_howard_csr (Csr.of_tmg tmg) (Csr.cycle_time tmg) in
-  match Verify.check_csr (Csr.of_tmg tmg) cert with
-  | Ok () -> Format.printf "certificate: %s — checked@." (Verify.describe cert)
+(* A certificate the independent checker rejects is an analysis bug: exit 2. *)
+let print_certificate (c : Perf.certified) =
+  match c.checked with
+  | Ok () -> Format.printf "certificate: %s — checked@." (Verify.describe c.certificate)
   | Error v ->
     Format.eprintf "ermes: %a@." Verify.pp_violation v;
     exit 2
@@ -187,16 +181,22 @@ let analyze_cmd =
   in
   let certify =
     Arg.(value & flag & info [ "certify" ]
-           ~doc:"Emit a machine-checkable certificate for the verdict (critical \
-                 witness cycle + node potentials, or a token-free cycle) and run \
-                 it through the independent checker; exit 2 if it is rejected.")
+           ~doc:"Emit a machine-checkable certificate for the analysis's own verdict \
+                 (critical witness cycle + node potentials, or a token-free cycle) \
+                 and run it through the independent checker; exit 2 if it is rejected.")
   in
   let run file simulate slack certify =
     let sys = or_die (load file) in
-    (match Perf.analyze sys with
+    let mapping = To_tmg.build sys in
+    let raw = Csr.cycle_time mapping.To_tmg.tmg in
+    let certified = if certify then Some (Perf.certify mapping raw) else None in
+    let outcome =
+      match certified with Some c -> c.Perf.outcome | None -> Perf.of_howard mapping raw
+    in
+    (match outcome with
      | Ok a ->
        print_analysis sys a;
-       if certify then certify_system sys;
+       Option.iter print_certificate certified;
        if slack then begin
          Format.printf "latency slack (extra cycles before the cycle time degrades):@.";
          List.iter
@@ -241,7 +241,7 @@ let analyze_cmd =
        end
      | Error f ->
        Format.printf "%a@." (Perf.pp_failure sys) f;
-       if certify then certify_system sys;
+       Option.iter print_certificate certified;
        exit 2)
   in
   Cmd.v

@@ -159,33 +159,17 @@ let sync sess =
     done
   end
 
-let analyze sess =
+let solve sess =
   sync sess;
   sess.stats.analyses <- sess.stats.analyses + 1;
   Obs.incr "incremental.analyses";
-  Perf.of_howard sess.mapping (Csr.solve sess.solver)
+  Csr.solve sess.solver
 
-type certified = {
-  outcome : (Perf.analysis, Perf.failure) result;
-  certificate : Ermes_verify.Verify.t;
-  checked : (unit, Ermes_verify.Verify.violation) result;
-}
+let analyze sess = Perf.of_howard sess.mapping (solve sess)
 
 let analyze_certified sess =
-  sync sess;
-  sess.stats.analyses <- sess.stats.analyses + 1;
-  Obs.incr "incremental.analyses";
   Obs.incr "incremental.certified";
-  let raw = Csr.solve sess.solver in
-  (* A fresh freeze, not the solver's own arrays, keeps the check
-     independent of the solver's cached state. *)
-  let g = Csr.of_tmg sess.mapping.To_tmg.tmg in
-  let certificate = Ermes_verify.Verify.of_howard_csr g raw in
-  {
-    outcome = Perf.of_howard sess.mapping raw;
-    certificate;
-    checked = Ermes_verify.Verify.check_csr g certificate;
-  }
+  Perf.certify sess.mapping (solve sess)
 
 let analyze_exn sess =
   match analyze sess with

@@ -16,7 +16,7 @@
       falls back to a full rebuild —
 
     then re-runs Howard warm-started from the previous converged policy
-    ({!Ermes_tmg.Howard.solve}). Results are equivalent to a fresh
+    ({!Ermes_tmg.Csr.solve}). Results are equivalent to a fresh
     [Perf.analyze]: identical cycle time (it is exact in both paths, thanks
     to certification), identical deadlock verdicts and dead cycles, and a
     critical cycle that is genuinely critical — though possibly a different
@@ -40,21 +40,11 @@ val system : t -> System.t
 val analyze : t -> (Perf.analysis, Perf.failure) result
 (** Sync with the system's current state, then solve warm. *)
 
-type certified = {
-  outcome : (Perf.analysis, Perf.failure) result;
-  certificate : Ermes_verify.Verify.t;
-      (** the proof object the warm solve produced, in raw TMG terms *)
-  checked : (unit, Ermes_verify.Verify.violation) result;
-      (** verdict of the independent checker on [certificate] *)
-}
-
-val analyze_certified : t -> certified
-(** Like {!analyze}, but every verdict — live cycle time, deadlock, or
-    acyclic — carries a certificate that has been run through
-    {!Ermes_verify.Verify.check}. Warm starts, cached policies and
-    incremental edits make no difference to the proof obligations: the
-    certificate is checked against the raw current net. Costs one extra
-    O(E) pass over the net per call; the plain {!analyze} stays available
+val analyze_certified : t -> Perf.certified
+(** {!Perf.certify} on the warm solve: the same certification sequence as
+    a cold [ermes analyze --certify], so warm starts, cached policies and
+    incremental edits make no difference to the proof obligations. Costs one
+    freeze and one O(E) check per call; the plain {!analyze} stays available
     for tight probe loops. *)
 
 val analyze_exn : t -> Perf.analysis

@@ -4,6 +4,7 @@ module Tmg = Ermes_tmg.Tmg
 module Csr = Ermes_tmg.Csr
 module Liveness = Ermes_tmg.Liveness
 module Ratio = Ermes_tmg.Ratio
+module Verify = Ermes_verify.Verify
 
 type analysis = {
   cycle_time : Ratio.t;
@@ -52,6 +53,21 @@ let of_howard mapping outcome =
            dead_cycle = List.map (Tmg.transition_name tmg) ts;
          })
   | Error Csr.No_cycle -> Error No_cycle
+
+type certified = {
+  outcome : (analysis, failure) result;
+  certificate : Verify.t;
+  checked : (unit, Verify.violation) result;
+}
+
+let certify mapping raw =
+  let g = Csr.of_tmg mapping.To_tmg.tmg in
+  let certificate = Verify.of_howard_csr g raw in
+  {
+    outcome = of_howard mapping raw;
+    certificate;
+    checked = Verify.check_csr g certificate;
+  }
 
 let analyze sys =
   let mapping = To_tmg.build sys in

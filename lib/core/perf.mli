@@ -46,6 +46,23 @@ val of_howard :
     the TMG was built with. [analyze] is [of_howard m (cycle_time m.tmg)];
     {!Incremental} sessions reuse the translation with a warm solver. *)
 
+type certified = {
+  outcome : (analysis, failure) result;
+  certificate : Ermes_verify.Verify.t;  (** in raw TMG terms *)
+  checked : (unit, Ermes_verify.Verify.violation) result;
+      (** the independent checker's verdict on [certificate] *)
+}
+
+val certify :
+  Ermes_slm.To_tmg.mapping ->
+  (Ermes_tmg.Csr.result, Ermes_tmg.Csr.error) result ->
+  certified
+(** [certify m raw], for [raw] a solve of [m.tmg] in its current state, is
+    the one certification sequence: [outcome] is [of_howard m raw], and the
+    certificate of every verdict is built and checked on one fresh
+    {!Ermes_tmg.Csr.of_tmg} freeze of [m.tmg], never on a solver's own
+    arrays. Costs one freeze and one O(E) check. *)
+
 val cycle_time_exn : System.t -> Ratio.t
 (** @raise Failure on deadlock (with a diagnostic message). For tests and
     quick scripts. *)

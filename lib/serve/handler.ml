@@ -4,7 +4,6 @@ module Ratio = Ermes_tmg.Ratio
 module Csr = Ermes_tmg.Csr
 module Perf = Ermes_core.Perf
 module Explore = Ermes_core.Explore
-module Incremental = Ermes_core.Incremental
 module Verify = Ermes_verify.Verify
 module Lint = Ermes_verify.Lint
 module Obs = Ermes_obs.Obs
@@ -93,11 +92,15 @@ let verdict_fields sys = function
   | Error Perf.No_cycle ->
     ("findings", [ ("detail", Str (Format.asprintf "%a" (Perf.pp_failure sys) Perf.No_cycle)) ])
 
-let certificate_fields (cert : Verify.t) checked =
-  [
-    ("certificate", Str (Verify.describe cert));
-    ("certificate_checked", Bool (Result.is_ok checked));
-  ]
+(* A verdict's (status, fields) with its certificate appended; a rejected
+   certificate turns any verdict into "findings". *)
+let certified_fields (status, fields) (c : Perf.certified) =
+  ( (if Result.is_error c.checked then "findings" else status),
+    fields
+    @ [
+        ("certificate", Str (Verify.describe c.certificate));
+        ("certificate_checked", Bool (Result.is_ok c.checked));
+      ] )
 
 let session_fields name (o : Session.outcome) =
   [
@@ -115,25 +118,18 @@ let session_fields name (o : Session.outcome) =
 
 let session_reply ~id ~verb ~name (o : Session.outcome) =
   let c = o.Session.certified in
-  let sys_fields =
+  let verdict =
     (* The certified record speaks raw-TMG terms for the proof and
        system-level terms for the verdict. *)
-    match c.Incremental.outcome with
+    match c.Perf.outcome with
     | Ok a ->
       ( "ok",
         ratio_fields "cycle_time" a.Perf.cycle_time
         @ [ ("critical_cycle", Arr (List.map (fun s -> Str s) a.Perf.critical_cycle)) ] )
     | Error _ -> ("deadlock", [ ("detail", Str "deadlock (see dead cycle certificate)") ])
   in
-  let status, fields = sys_fields in
-  let status =
-    if Result.is_error c.Incremental.checked then "findings" else status
-  in
-  reply ~id ~verb status
-    ~extra:
-      (fields
-      @ certificate_fields c.Incremental.certificate c.Incremental.checked
-      @ session_fields name o)
+  let status, fields = certified_fields verdict c in
+  reply ~id ~verb status ~extra:(fields @ session_fields name o)
 
 (* ---- verbs --------------------------------------------------------------- *)
 
@@ -155,20 +151,14 @@ let analyze_cold deps ~cancel ~id ~raw sys =
   | None ->
     Obs.incr "serve.cache_misses";
     let mapping = To_tmg.build sys in
-    let tmg = mapping.To_tmg.tmg in
     Cancel.check cancel;
-    let howard = Csr.cycle_time tmg in
+    let howard = Csr.cycle_time mapping.To_tmg.tmg in
     Cancel.check cancel;
-    let outcome = Perf.of_howard mapping howard in
-    let g = Csr.of_tmg tmg in
-    let cert = Verify.of_howard_csr g howard in
-    let checked = Verify.check_csr g cert in
-    let status, fields = verdict_fields sys outcome in
-    let status = if Result.is_error checked then "findings" else status in
-    let fields = fields @ certificate_fields cert checked in
+    let c = Perf.certify mapping howard in
+    let status, fields = certified_fields (verdict_fields sys c.Perf.outcome) c in
     (* Only proof-carrying verdicts are worth replaying; a rejected
        certificate signals an analysis bug and must be recomputed loudly. *)
-    if Result.is_ok checked then Cache.add deps.cache ~raw key (status, fields);
+    if Result.is_ok c.Perf.checked then Cache.add deps.cache ~raw key (status, fields);
     reply ~id ~verb:"analyze" status
       ~extra:(fields @ [ ("design_hash", Str key); ("cached", Bool false) ])
 

@@ -36,7 +36,7 @@ type path = Fresh | Warm | Rebuilt
 let path_name = function Fresh -> "fresh" | Warm -> "warm" | Rebuilt -> "rebuilt"
 
 type outcome = {
-  certified : Incremental.certified;
+  certified : Ermes_core.Perf.certified;
   path : path;
   delay_edits : int;
   rethreads : int;

@@ -14,8 +14,8 @@
     - anything else — the session transparently rebuilds on the new design
       ([Rebuilt]); correctness is never conditional on the diff.
 
-    Every analysis is certified ({!Ermes_core.Incremental.analyze_certified})
-    — warm starts make no difference to the proof obligations.
+    Every analysis is certified ({!Ermes_core.Perf.certify} on the warm
+    solve) — warm starts make no difference to the proof obligations.
 
     Concurrency: the table is mutex-guarded; each session additionally
     carries its own lock, so two requests touching the {e same} session
@@ -39,7 +39,7 @@ type path =
 val path_name : path -> string
 
 type outcome = {
-  certified : Incremental.certified;
+  certified : Ermes_core.Perf.certified;
   path : path;
   delay_edits : int;  (** per-call delta of the session's edit counters *)
   rethreads : int;

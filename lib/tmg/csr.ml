@@ -883,17 +883,24 @@ let exact_ratio (g : t) arcs =
   assert (tsum > 0);
   Ratio.make wsum tsum
 
-let certify s mask ratio0 arcs0 =
+let certify s ratio0 arcs0 =
+  Obs.span "csr.certify" @@ fun () ->
   let ratio = ref ratio0 and arcs = ref arcs0 and rounds = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    match find_positive_cycle s mask s.potentials !ratio with
+    match find_positive_cycle s s.in_scc s.potentials !ratio with
     | None -> continue_ := false
     | Some a ->
       ratio := exact_ratio s.g a;
       arcs := a;
       incr rounds
   done;
+  (* Extend the certification fixpoint over every place: cross-SCC places
+     carry no cycle, so this must reach a fixpoint — the resulting
+     potentials are the whole-net optimality witness. *)
+  (match find_positive_cycle s s.everywhere s.potentials !ratio with
+  | None -> ()
+  | Some _ -> assert false);
   (!ratio, !arcs, !rounds)
 
 let solve s =
@@ -927,20 +934,21 @@ let solve s =
     else begin
       let g = s.g and sc = s.scratch in
       let best = ref None and iters = ref 0 and win_len = ref 0 in
-      for c = 0 to s.comp_count - 1 do
-        if s.comp_cyclic.(c) then begin
-          let r, len, rounds = howard_scc s s.comp_row.(c) s.comp_row.(c + 1) in
-          iters := !iters + rounds;
-          let take =
-            match !best with None -> true | Some r0 -> Ratio.(r > r0)
-          in
-          if take then begin
-            best := Some r;
-            win_len := len;
-            Array.blit sc.best_cyc 0 sc.win_cyc 0 len
-          end
-        end
-      done;
+      Obs.span "csr.howard" (fun () ->
+          for c = 0 to s.comp_count - 1 do
+            if s.comp_cyclic.(c) then begin
+              let r, len, rounds = howard_scc s s.comp_row.(c) s.comp_row.(c + 1) in
+              iters := !iters + rounds;
+              let take =
+                match !best with None -> true | Some r0 -> Ratio.(r > r0)
+              in
+              if take then begin
+                best := Some r;
+                win_len := len;
+                Array.blit sc.best_cyc 0 sc.win_cyc 0 len
+              end
+            end
+          done);
       s.warmed <- true;
       match !best with
       | None -> assert false
@@ -970,15 +978,7 @@ let solve s =
         in
         let seed_ratio = exact_ratio g seed_arcs in
         assert (Ratio.(seed_ratio >= ratio));
-        let final_ratio, final_arcs, cancels =
-          certify s s.in_scc seed_ratio seed_arcs
-        in
-        (* Extend the certification fixpoint over every place: cross-SCC
-           places carry no cycle, so this must reach a fixpoint — the
-           resulting potentials are the whole-net optimality witness. *)
-        (match find_positive_cycle s s.everywhere s.potentials final_ratio with
-        | None -> ()
-        | Some _ -> assert false);
+        let final_ratio, final_arcs, cancels = certify s seed_ratio seed_arcs in
         Obs.incr ~by:!iters "csr.iterations.policy";
         Obs.incr ~by:cancels "csr.iterations.certify";
         Log.debug (fun m ->

@@ -7,7 +7,7 @@
 
     This solves the cycle {e mean} problem, i.e. the cycle-ratio problem with
     one token per place. On a TMG whose places all hold exactly one token it
-    agrees with {!Howard.cycle_time}; the test suite uses that agreement, and
+    agrees with {!Csr.cycle_time}; the test suite uses that agreement, and
     the benchmark harness compares the two implementations' running times. *)
 
 val max_cycle_mean : ('v, int) Ermes_digraph.Digraph.t -> Ratio.t option

@@ -17,7 +17,7 @@ type error = Deadlock | No_cycle
 
 val cycle_time : Tmg.t -> (Ratio.t * Tmg.place list, error) result
 (** [cycle_time tmg] is the exact maximum cycle ratio (delay sum over token
-    sum) and a witness cycle. Agrees with {!Howard.cycle_time} on every live
+    sum) and a witness cycle. Agrees with {!Csr.cycle_time} on every live
     net (property-tested). *)
 
 val certified : Tmg.t -> (Ratio.t * Tmg.place list * int array, error) result

@@ -17,6 +17,7 @@ module Liveness = Ermes_tmg.Liveness
 module System = Ermes_slm.System
 module To_tmg = Ermes_slm.To_tmg
 module Motivating = Ermes_slm.Motivating
+module Soc_format = Ermes_slm.Soc_format
 module Perf = Ermes_core.Perf
 module Incremental = Ermes_core.Incremental
 module Verify = Ermes_verify.Verify
@@ -101,11 +102,11 @@ let prop_incremental_certified (sys, script) =
         | _ -> ()));
       let c = Incremental.analyze_certified session in
       let tmg = (Incremental.mapping session).To_tmg.tmg in
-      c.Incremental.checked = Ok ()
-      && accepted tmg c.Incremental.certificate
+      c.Perf.checked = Ok ()
+      && accepted tmg c.Perf.certificate
       &&
       (* The certified verdict and the plain outcome must agree. *)
-      match (c.Incremental.outcome, c.Incremental.certificate) with
+      match (c.Perf.outcome, c.Perf.certificate) with
       | Ok a, Verify.Bounded b -> Ratio.equal a.Perf.cycle_time b.ratio
       | Error (Perf.Deadlock _), Verify.Deadlocked _ -> true
       | Error Perf.No_cycle, Verify.Acyclic _ -> true
@@ -116,6 +117,51 @@ let mutations_gen =
   QCheck2.Gen.(
     list_size (int_range 4 10)
       (triple (int_range 0 1_000_000) (int_range 0 1_000_000) (int_range 0 1_000_000)))
+
+(* ---- the one certification sequence --------------------------------------- *)
+
+let shipped_designs () =
+  let data = "../data" in
+  Sys.readdir data |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".soc")
+  |> List.sort compare
+  |> List.map (fun f ->
+         match Soc_format.parse_file (Filename.concat data f) with
+         | Ok sys -> (f, sys)
+         | Error e -> Alcotest.failf "%s: %s" f e)
+
+(* Perf.certify on a cold solve reports exactly Perf.analyze's verdict, and
+   its certificate checks: bounded for the live designs, a token-free cycle
+   for the deadlocking one. *)
+let test_certify_shipped_designs () =
+  let designs = shipped_designs () in
+  Alcotest.(check bool) "shipped designs found" true (List.length designs >= 5);
+  List.iter
+    (fun (f, sys) ->
+      let m = To_tmg.build sys in
+      let c = Perf.certify m (Csr.cycle_time m.To_tmg.tmg) in
+      Alcotest.(check bool) (f ^ ": outcome is Perf.analyze's") true
+        (c.Perf.outcome = Perf.analyze sys);
+      (match c.Perf.checked with
+      | Ok () -> ()
+      | Error v -> Alcotest.failf "%s: rejected: %a" f Verify.pp_violation v);
+      let deadlocked =
+        match c.Perf.certificate with Verify.Deadlocked _ -> true | _ -> false
+      in
+      Alcotest.(check bool) (f ^ ": deadlocked certificate") (f = "motivating_deadlock.soc")
+        deadlocked)
+    designs
+
+(* The entry point really runs the checker: a raw result whose cycle time is
+   off by one yields a certificate that is rejected, not a checked one. *)
+let test_certify_rejects_tampered () =
+  let m = To_tmg.build (Motivating.optimal ()) in
+  match Csr.cycle_time m.To_tmg.tmg with
+  | Ok r ->
+    let tampered = { r with Csr.cycle_time = Ratio.add r.Csr.cycle_time (Ratio.of_int 1) } in
+    let c = Perf.certify m (Ok tampered) in
+    Alcotest.(check bool) "tampered cycle time rejected" true (Result.is_error c.Perf.checked)
+  | Error _ -> Alcotest.fail "motivating system should be live"
 
 (* ---- skepticism: perturbed certificates are rejected --------------------- *)
 
@@ -381,6 +427,10 @@ let () =
           Helpers.qtest ~count:40 "session certificates (DAG systems)"
             QCheck2.Gen.(pair Helpers.dag_system_gen mutations_gen)
             prop_incremental_certified;
+          Alcotest.test_case "certify matches analyze (shipped designs)" `Quick
+            test_certify_shipped_designs;
+          Alcotest.test_case "certify rejects a tampered result" `Quick
+            test_certify_rejects_tampered;
         ] );
       ( "skepticism",
         [
